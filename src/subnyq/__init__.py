@@ -17,7 +17,6 @@ from .blind import (
     EigenSpectrum,
     OrderEstimate,
     aic_order,
-    decimate,
     eft_order,
     eigendecompose,
     estimate_support,

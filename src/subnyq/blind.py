@@ -25,7 +25,6 @@ __all__ = [
     "OrderEstimate",
     "BlindReport",
     "sample_correlation",
-    "decimate",
     "eigendecompose",
     "aic_order",
     "mdl_order",
@@ -96,11 +95,6 @@ def sample_correlation(filtered_streams: np.ndarray, M: int | None = None) -> Co
     R = (Xm @ Xm.conj().T) / M
     R = (R + R.conj().T) / 2.0
     return CorrelationMatrix(R, M)
-
-
-def decimate(streams: np.ndarray, L: int, phase: int = 0) -> np.ndarray:
-    """Keep every L-th snapshot; cheap decorrelated input for correlation."""
-    return np.asarray(streams)[:, phase::L]
 
 
 def eigendecompose(Rhat: CorrelationMatrix) -> EigenSpectrum:
@@ -310,11 +304,12 @@ def estimate_support(
 
     The detection filter keeps its transition inside the cell with a deep
     stopband, so content hugging a cell boundary cannot register in the
-    neighboring cell; correlation uses the L-fold decimated transient-free
-    snapshots.  MUSIC selection takes the q_hat largest pseudo-spectrum
-    values ("top") or everything above threshold_factor times the median
-    ("threshold"); the least-squares route stops at q_hat cells or when the
-    residual falls below epsilon_rel times the total power.
+    neighboring cell; correlation uses one transient-free snapshot every L
+    base samples, and only those filter outputs are computed.  MUSIC
+    selection takes the q_hat largest pseudo-spectrum values ("top") or
+    everything above threshold_factor times the median ("threshold"); the
+    least-squares route stops at q_hat cells or when the residual falls
+    below epsilon_rel times the total power.
     """
     if order_method not in ("aic", "mdl", "eft"):
         raise ValueError("order_method must be 'aic', 'mdl', or 'eft'")
@@ -333,13 +328,11 @@ def estimate_support(
     filt = design_filter(
         L, n_taps, passband_ripple=0.02, stopband_ripple=1e-3, transition="inside"
     )
-    filtered = filter_streams(streams, filt)
     lo, hi = valid_range(streams.length, filt)
     if hi - lo < L:
         raise ValueError("series too short: no transient-free snapshots remain")
-    snapshots = decimate(filtered[:, lo:hi], L)
-    M_corr = snapshots.shape[1]
-    Rhat = sample_correlation(snapshots)
+    M_corr = len(range(lo, hi, L))
+    Rhat = sample_correlation(filter_streams(streams, filt, lo, L)[:, :M_corr])
     eigs = eigendecompose(Rhat)
     if order_method == "aic":
         order = aic_order(eigs, M_corr, p, q_min=q_min, q_max=q_max)

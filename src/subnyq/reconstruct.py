@@ -1,7 +1,8 @@
 """Reconstruction of the base-rate signal from coset streams.
 
-Pipeline: map the known support to active cells, lowpass-interpolate each
-zero-padded coset stream to the observation band [0, 1/(L*T)), then combine
+Pipeline: map the known support to active cells, interpolate each coset
+stream onto the base grid through a lowpass for the observation band
+[0, 1/(L*T)) (one polyphase convolution per stream), then combine
 the filtered streams through the pseudo-inverse of the reduced measurement
 matrix, re-modulating each recovered cell to its slot.  A frequency-domain
 solver over DFT bins provides an independent cross-check.
@@ -157,23 +158,38 @@ def design_filter(
     )
 
 
-def filter_streams(streams: CosetStreams, filt: InterpolationFilter) -> np.ndarray:
-    """Interpolate every coset stream; output is delay-compensated.
+def filter_streams(
+    streams: CosetStreams, filt: InterpolationFilter, start: int = 0, step: int = 1
+) -> np.ndarray:
+    """Interpolate every coset stream onto the base grid; delay-compensated.
 
-    Besides the integer group delay, the modulated taps leave a constant
-    phase exp(j*pi*d/L) at the center tap; both are removed here so the
-    effective response is zero phase on the passband.
+    Column j of the output is the filtered stream at base index
+    start + j*step, for each such index below streams.length.  Each row is
+    one polyphase convolution: the ADC samples are upsampled by L onto their
+    coset, filtered, and only every step-th output is computed.  Besides the
+    integer group delay, the modulated taps leave a constant phase
+    exp(j*pi*d/L) at the center tap; both are removed here so the effective
+    response is zero phase on the passband.
     """
-    if filt.L != streams.pattern.L:
+    pattern = streams.pattern
+    L = pattern.L
+    if filt.L != L:
         raise ValueError("filter L does not match pattern L")
+    if start < 0 or step < 1:
+        raise ValueError("need start >= 0 and step >= 1")
     d = filt.group_delay
-    phase = np.exp(-1j * np.pi * d / filt.L)
-    p, n = streams.streams.shape
-    out = np.empty((p, n), dtype=np.complex128)
-    for i in range(p):
-        full = sps.fftconvolve(streams.streams[i], filt.taps)
-        out[i] = full[d : d + n] * phase
-    return out
+    n_out = len(range(start, streams.length, step))
+    out = np.zeros((pattern.p, n_out), dtype=np.complex128)
+    for i, c in enumerate(pattern.C):
+        # output j is the upsampled convolution at index off + j*step; z
+        # leading zero taps shift that onto a nonnegative multiple of step
+        off = start + d - c
+        first = max(-(-off // step), 0)
+        z = first * step - off
+        taps = np.concatenate((np.zeros(z, dtype=np.complex128), filt.taps))
+        y = sps.upfirdn(taps, streams.samples[i], up=L, down=step)[first : first + n_out]
+        out[i, : len(y)] = y
+    return out * np.exp(-1j * np.pi * d / L)
 
 
 def valid_range(streams_length: int, filt: InterpolationFilter) -> tuple[int, int]:
@@ -289,10 +305,12 @@ def reconstruct_frequency(
 ) -> FrequencyReconstruction:
     """Solve for the active cell spectra bin by bin from raw stream DFTs.
 
-    Uses no interpolation filter: the DFT of each zero-padded coset stream
-    already obeys the aliasing relation exactly on the first length/L bins,
-    so the per-bin least-squares solve is an independent oracle for the
-    time-domain path (exact up to noise when the system is well posed).
+    Uses no interpolation filter: the length/L-point DFT of coset stream i
+    times the twiddle exp(-2j*pi*c_i*b/length) is the spectrum of that
+    stream placed on its base-grid coset, which obeys the aliasing relation
+    exactly on bins b = 0 .. length/L - 1, so the per-bin least-squares solve
+    is an independent oracle for the time-domain path (exact up to noise
+    when the system is well posed).
     """
     pattern = streams.pattern
     if k.q > pattern.p:
@@ -303,8 +321,8 @@ def reconstruct_frequency(
             f"reduced matrix is rank deficient on cells {k.k} (cond={cond})"
         )
     n = streams.length
-    nb = n // pattern.L
-    Y = np.fft.fft(streams.streams, axis=1)[:, :nb]
-    Z = W @ Y
+    nb = streams.samples.shape[1]
+    twiddle = np.exp(-2j * np.pi * np.outer(pattern.C, np.arange(nb)) / n)
+    Z = W @ (np.fft.fft(streams.samples, axis=1) * twiddle)
     bins = np.arange(nb) / (n * pattern.T)
     return FrequencyReconstruction(cell_spectra=Z, k=k, bins=bins, cond=cond)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import TimeSeries
+from .signals import TimeSeries, _check_index
 
 __all__ = [
     "SamplingPattern",
@@ -91,39 +91,29 @@ class SpectralIndexSet:
 
 @dataclass(frozen=True)
 class CosetStreams:
-    """Zero-padded coset sequences on the base grid, one row per offset.
+    """The samples of the p coset ADCs, one row per offset.
 
-    Row i is nonzero only at indices n = m*L + c_i.  The padded form is what
-    the interpolation filter and the reconstruction formula consume; use
-    compact() for the p x (length/L) per-ADC view.
+    Row i holds x[m*L + c_i] for m = 0 .. length/L - 1, i.e. the stream the
+    i-th ADC produces at rate 1/(L*T).  length is the base-grid span the
+    streams cover, always a multiple of L.
     """
 
-    streams: np.ndarray
+    samples: np.ndarray
     pattern: SamplingPattern
 
     def __post_init__(self):
-        s = np.asarray(self.streams, dtype=np.complex128)
+        s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim != 2 or s.shape[0] != self.pattern.p:
-            raise ValueError("streams must be a (p, length) array")
-        if s.shape[1] % self.pattern.L:
-            raise ValueError("stream length must be a multiple of L")
-        L = self.pattern.L
-        for i, c in enumerate(self.pattern.C):
-            off = np.ones(s.shape[1], dtype=bool)
-            off[c::L] = False
-            if np.any(s[i, off] != 0):
-                raise ValueError(f"stream {i} has samples off its coset {c}")
-        object.__setattr__(self, "streams", s)
+            raise ValueError("samples must be a (p, length/L) array")
+        bad = np.argwhere(~np.isfinite(s))
+        if bad.size:
+            i, m = bad[0]
+            raise ValueError(f"stream {i} has a non-finite sample at m={m}")
+        object.__setattr__(self, "samples", s)
 
     @property
     def length(self) -> int:
-        return self.streams.shape[1]
-
-    def compact(self) -> np.ndarray:
-        L = self.pattern.L
-        return np.stack(
-            [self.streams[i, c::L] for i, c in enumerate(self.pattern.C)]
-        )
+        return self.samples.shape[1] * self.pattern.L
 
 
 @dataclass(frozen=True)
@@ -157,23 +147,18 @@ class BlindParameters:
 
 
 def coset_decompose(x: TimeSeries, pattern: SamplingPattern) -> CosetStreams:
-    """Split a base-rate stream into zero-padded coset sequences.
+    """Keep the base-rate samples at indices m*L + c_i as coset stream i.
 
-    Keeps x at indices m*L + c_i in row i and zeros elsewhere.  The input is
-    zero-padded up to a multiple of L.  Indices are taken relative to the
-    start of the series.
+    The input is zero-padded up to a multiple of L.  Indices are taken
+    relative to the start of the series.
     """
     if abs(x.T - pattern.T) > 1e-12 * max(x.T, pattern.T):
         raise ValueError(f"series period {x.T} does not match pattern T {pattern.T}")
-    L, p = pattern.L, pattern.p
+    L = pattern.L
     n = len(x.samples)
-    n_pad = ((n + L - 1) // L) * L
-    base = np.zeros(n_pad, dtype=np.complex128)
+    base = np.zeros(-(-n // L) * L, dtype=np.complex128)
     base[:n] = x.samples
-    streams = np.zeros((p, n_pad), dtype=np.complex128)
-    for i, c in enumerate(pattern.C):
-        streams[i, c::L] = base[c::L]
-    return CosetStreams(streams, pattern)
+    return CosetStreams(base.reshape(-1, L).T[list(pattern.C)], pattern)
 
 
 def build_measurement_matrix(pattern: SamplingPattern) -> MeasurementMatrix:
@@ -221,18 +206,17 @@ def blind_parameters(N: int, B: float, f_max: float, d: int) -> BlindParameters:
 
 
 def streams_to_csv(cs: CosetStreams, header_comment: str = "") -> str:
-    """Coset streams as CSV: base index plus re/im column pair per coset."""
+    """Coset streams as CSV, one row per ADC sample: m, then re/im per coset."""
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
-    cols = ["n"]
+    cols = ["m"]
     for i in range(cs.pattern.p):
         cols += [f"s{i}_re", f"s{i}_im"]
     lines.append(",".join(cols))
-    for n in range(cs.length):
-        row = [str(n)]
-        for i in range(cs.pattern.p):
-            v = cs.streams[i, n]
+    for m, column in enumerate(cs.samples.T):
+        row = [str(m)]
+        for v in column:
             row += [repr(float(v.real)), repr(float(v.imag))]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -242,15 +226,13 @@ def streams_from_csv(text: str, pattern: SamplingPattern) -> CosetStreams:
     rows = [
         r.split(",")
         for r in text.splitlines()
-        if r and not r.startswith("#") and not r.startswith("n,")
+        if r and not r.startswith("#") and not r.startswith("m,")
     ]
     p = pattern.p
     if rows and len(rows[0]) != 1 + 2 * p:
         raise ValueError(
             f"stream CSV has {len(rows[0])} columns, expected {1 + 2 * p}"
         )
-    data = np.asarray([[float(v) for v in r] for r in rows])
-    if data.size == 0:
-        return CosetStreams(np.zeros((p, 0), dtype=np.complex128), pattern)
-    streams = data[:, 1::2].T + 1j * data[:, 2::2].T
-    return CosetStreams(streams, pattern)
+    _check_index([int(r[0]) for r in rows])
+    data = np.asarray([[float(v) for v in r[1:]] for r in rows]).reshape(-1, 2 * p)
+    return CosetStreams(data[:, 0::2].T + 1j * data[:, 1::2].T, pattern)

@@ -10,8 +10,6 @@ probability against SNR and compression ratio.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -255,8 +253,7 @@ def pd_sweep(
     count p = cr*L >= 2.  Cell selection defaults to the top-q form, which
     remains meaningful at p = 2 where threshold selection cannot isolate a
     single wide peak.  Per-trial RNG streams derive from (seed, point,
-    trial), so results do not depend on scheduling; SUBNYQ_THREADS>1 runs
-    trials in a thread pool.
+    trial), so results do not depend on scheduling.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -273,24 +270,13 @@ def pd_sweep(
         patterns.append((float(cr), pat))
     n_samples = n_blocks * L
     cfg = replace(cfg_template, select=select)
-    workers = max(int(os.environ.get("SUBNYQ_THREADS", "1")), 1)
     rows: list[PdPoint] = []
     for i_cr, (cr, pat) in enumerate(patterns):
         for i_snr, snr_db in enumerate(snr_db_list):
-            keys = [[seed, i_cr, i_snr, t] for t in range(trials)]
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    hits = list(
-                        pool.map(
-                            lambda key: _pd_trial(cfg, pat, n_samples, snr_db, key, metric),
-                            keys,
-                        )
-                    )
-            else:
-                hits = [
-                    _pd_trial(cfg, pat, n_samples, snr_db, key, metric) for key in keys
-                ]
-            det = int(sum(hits))
+            det = sum(
+                _pd_trial(cfg, pat, n_samples, snr_db, [seed, i_cr, i_snr, t], metric)
+                for t in range(trials)
+            )
             pd = det / trials
             ci95 = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1e-12) / trials)
             rows.append(

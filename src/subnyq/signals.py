@@ -135,9 +135,11 @@ class TimeSeries:
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("T must be positive")
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.complex128)
-        )
+        s = np.asarray(self.samples, dtype=np.complex128)
+        bad = np.flatnonzero(~np.isfinite(s))
+        if bad.size:
+            raise ValueError(f"non-finite sample at index {bad[0]}")
+        object.__setattr__(self, "samples", s)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -341,6 +343,17 @@ def timeseries_from_csv(text: str, T: float) -> TimeSeries:
     ]
     if not rows:
         return TimeSeries(np.zeros(0, dtype=np.complex128), T)
-    origin = int(rows[0][0])
+    index = [int(r[0]) for r in rows]
+    _check_index(index)
+    origin = index[0]
     vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
     return TimeSeries(vals, T, origin)
+
+
+def _check_index(index: list[int]) -> None:
+    """CSV index columns must run contiguous and ascending from the first row."""
+    for row, n in enumerate(index):
+        if n != index[0] + row:
+            raise ValueError(
+                f"CSV data row {row} has index {n}, expected {index[0] + row}"
+            )

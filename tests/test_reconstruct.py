@@ -9,11 +9,17 @@ from subnyq import (
     SpectralIndexSet,
     SpectralSupport,
     apply_noise,
+    build_measurement_matrix,
     coset_decompose,
     design_filter,
+    eigendecompose,
+    estimate_support,
+    filter_streams,
     pseudo_inverse,
     reconstruct_frequency,
     reconstruct_time,
+    reduce_matrix,
+    sample_correlation,
     sfs_pattern_search,
     spectral_index_from_support,
     synthesize,
@@ -267,3 +273,83 @@ class TestReconstructFrequency:
         assert mask.sum() > 50
         rel = np.abs(full_time[mask] - full_freq[mask]) / np.abs(full_freq[mask])
         assert float(np.median(rel)) < 0.05
+
+
+def padded_rows(streams):
+    """The deleted zero-padded layout: p x length, nonzero only on each coset."""
+    pat = streams.pattern
+    padded = np.zeros((pat.p, streams.length), dtype=complex)
+    for i, c in enumerate(pat.C):
+        padded[i, c :: pat.L] = streams.samples[i]
+    return padded
+
+
+def padded_filter(streams, filt):
+    """The deleted filtering path: full-rate fftconvolve of each padded row,
+    then removal of the group delay and the center-tap phase."""
+    n, d = streams.length, filt.group_delay
+    phase = np.exp(-1j * np.pi * d / filt.L)
+    return np.stack(
+        [sps.fftconvolve(row, filt.taps)[d : d + n] * phase for row in padded_rows(streams)]
+    )
+
+
+def assert_rel_close(new, ref, rel=1e-12):
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max() <= rel * np.abs(ref).max()
+
+
+class TestPolyphaseMatchesPaddedPath:
+    # odd and even N_h, N_h < L (group delay below some offsets), a length
+    # that is not a multiple of L, and the full pattern p = L
+    CASES = [
+        (16, (0, 3, 5, 9, 12), 129, 4096),
+        (16, (0, 3, 5, 9, 12), 128, 4001),
+        (16, (1, 7, 10, 15), 15, 1000),
+        (8, tuple(range(8)), 64, 1030),
+    ]
+
+    @pytest.fixture(params=CASES, ids=["odd", "even-ragged", "short-filter", "p-equals-L"])
+    def case(self, request):
+        from subnyq import TimeSeries
+
+        L, C, n_taps, n = request.param
+        rng = np.random.default_rng(n_taps)
+        tone = 3.0 * np.exp(2j * np.pi * 0.3 * np.arange(n))
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = TimeSeries(tone + noise, 1.0)
+        return coset_decompose(x, SamplingPattern(L, C, 1.0)), n_taps
+
+    def test_filter_streams(self, case):
+        streams, n_taps = case
+        L = streams.pattern.L
+        for transition in ("straddle", "inside"):
+            filt = design_filter(L, n_taps, transition=transition)
+            ref = padded_filter(streams, filt)
+            d = filt.group_delay
+            assert_rel_close(filter_streams(streams, filt), ref)
+            assert_rel_close(filter_streams(streams, filt, d, L), ref[:, d::L])
+            assert_rel_close(filter_streams(streams, filt, 5, 3), ref[:, 5::3])
+
+    def test_estimate_support_eigenvalues(self, case):
+        streams, n_taps = case
+        L = streams.pattern.L
+        filt = design_filter(
+            L, n_taps, passband_ripple=0.02, stopband_ripple=1e-3, transition="inside"
+        )
+        ref = padded_filter(streams, filt)
+        lo, hi = filt.group_delay, streams.length - filt.group_delay
+        ref_eigs = eigendecompose(sample_correlation(ref[:, lo:hi][:, ::L]))
+        rep = estimate_support(streams, n_taps=n_taps)
+        assert rep.snapshots == len(range(lo, hi, L))
+        assert_rel_close(rep.eigs.values, ref_eigs.values)
+
+    def test_reconstruct_frequency(self, case):
+        streams, _ = case
+        pat = streams.pattern
+        k = SpectralIndexSet((2, 5) if pat.p < pat.L else tuple(range(pat.L)), pat.L)
+        nb = streams.length // pat.L
+        Y = np.fft.fft(padded_rows(streams), axis=1)[:, :nb]
+        A = reduce_matrix(build_measurement_matrix(pat), k)
+        ref = pseudo_inverse(A * pat.T) @ Y
+        assert_rel_close(reconstruct_frequency(streams, k).cell_spectra, ref)

@@ -40,12 +40,18 @@ class TestSamplingPattern:
         assert SamplingPattern.from_dict(pat.to_dict()) == pat
 
 
+def base_indices(cs):
+    """Base-grid index of every entry of cs.samples, same shape."""
+    m = np.arange(cs.samples.shape[1])
+    return m[None, :] * cs.pattern.L + np.asarray(cs.pattern.C)[:, None]
+
+
 class TestCosetDecompose:
     def test_first_blocks_pattern_a(self):
         pat = SamplingPattern(20, (0, 4, 7, 12, 16), 1.0)
         x = TimeSeries(np.arange(1, 41, dtype=complex), 1.0)
         cs = coset_decompose(x, pat)
-        kept = np.nonzero(np.any(cs.streams != 0, axis=0))[0]
+        kept = np.sort(cs.samples.real.astype(int).ravel()) - 1
         assert list(kept[:5]) == [0, 4, 7, 12, 16]
         assert list(kept[5:10]) == [20, 24, 27, 32, 36]
 
@@ -53,52 +59,60 @@ class TestCosetDecompose:
         pat = SamplingPattern(20, (2, 6, 11, 15, 18), 1.0)
         x = TimeSeries(np.arange(1, 41, dtype=complex), 1.0)
         cs = coset_decompose(x, pat)
-        kept = np.nonzero(np.any(cs.streams != 0, axis=0))[0]
+        kept = np.sort(cs.samples.real.astype(int).ravel()) - 1
         assert list(kept[:5]) == [2, 6, 11, 15, 18]
         assert list(kept[5:10]) == [22, 26, 31, 35, 38]
 
     def test_streams_live_on_their_coset(self):
         pat = SamplingPattern(6, (1, 4), 1.0)
-        x = TimeSeries(np.ones(18, dtype=complex), 1.0)
+        x = TimeSeries(np.arange(18, dtype=complex), 1.0)
         cs = coset_decompose(x, pat)
-        for i, c in enumerate(pat.C):
-            nz = np.nonzero(cs.streams[i])[0]
-            assert np.all(nz % 6 == c)
+        assert cs.samples.shape == (2, 3)
+        assert np.array_equal(cs.samples.real, base_indices(cs))
 
     def test_full_pattern_partitions(self):
         rng = np.random.default_rng(0)
         x = TimeSeries(rng.standard_normal(32) + 1j * rng.standard_normal(32), 1.0)
         pat = SamplingPattern(8, tuple(range(8)), 1.0)
         cs = coset_decompose(x, pat)
-        assert np.allclose(cs.streams.sum(axis=0), x.samples)
+        rebuilt = np.zeros(cs.length, dtype=complex)
+        rebuilt[base_indices(cs)] = cs.samples
+        assert np.array_equal(rebuilt, x.samples)
 
     def test_pads_to_multiple_of_L(self):
         pat = SamplingPattern(5, (0, 3), 1.0)
-        x = TimeSeries(np.ones(7, dtype=complex), 1.0)
+        x = TimeSeries(np.arange(1, 8, dtype=complex), 1.0)
         cs = coset_decompose(x, pat)
         assert cs.length == 10
+        assert cs.samples.tolist() == [[1, 6], [4, 0]]
 
     def test_compact_view(self):
         pat = SamplingPattern(4, (1, 2), 1.0)
         x = TimeSeries(np.arange(8, dtype=complex), 1.0)
         cs = coset_decompose(x, pat)
-        compact = cs.compact()
-        assert compact.shape == (2, 2)
-        assert list(compact[0]) == [1, 5]
-        assert list(compact[1]) == [2, 6]
+        assert cs.samples.shape == (2, 2)
+        assert list(cs.samples[0]) == [1, 5]
+        assert list(cs.samples[1]) == [2, 6]
 
     def test_period_mismatch_rejected(self):
         pat = SamplingPattern(4, (0, 1), 1.0)
         with pytest.raises(ValueError):
             coset_decompose(TimeSeries(np.ones(8, dtype=complex), 0.5), pat)
 
-    def test_off_coset_samples_rejected(self):
+    def test_shape_checked(self):
         from subnyq import CosetStreams
 
-        pat = SamplingPattern(4, (1,), 1.0)
-        bad = np.ones((1, 8), dtype=complex)  # nonzero everywhere
-        with pytest.raises(ValueError, match="coset"):
-            CosetStreams(bad, pat)
+        with pytest.raises(ValueError, match="p, length/L"):
+            CosetStreams(np.ones((2, 8), dtype=complex), SamplingPattern(4, (1,), 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(-np.inf, 0.0)])
+    def test_non_finite_rejected(self, bad):
+        from subnyq import CosetStreams
+
+        samples = np.ones((2, 5), dtype=complex)
+        samples[1, 3] = bad
+        with pytest.raises(ValueError, match="stream 1 .* m=3"):
+            CosetStreams(samples, SamplingPattern(4, (0, 2), 1.0))
 
     def test_csv_roundtrip(self):
         from subnyq.sampling import streams_from_csv, streams_to_csv
@@ -108,8 +122,21 @@ class TestCosetDecompose:
         x = TimeSeries(rng.standard_normal(15) + 1j * rng.standard_normal(15), 1.0)
         cs = coset_decompose(x, pat)
         text = streams_to_csv(cs, header_comment="roundtrip")
+        lines = text.splitlines()
+        assert lines[1] == "m,s0_re,s0_im,s1_re,s1_im"
+        assert len(lines) == 2 + 3  # one row per ADC sample
         back = streams_from_csv(text, pat)
-        assert np.array_equal(back.streams, cs.streams)
+        assert np.array_equal(back.samples, cs.samples)
+
+    @pytest.mark.parametrize(
+        "index, row", [((0, 1, 3), 2), ((7, 3, 9, 1), 1), ((0, 0, 1), 1)]
+    )
+    def test_csv_index_gaps_and_reordering_rejected(self, index, row):
+        from subnyq.sampling import streams_from_csv
+
+        text = "m,s0_re,s0_im\n" + "".join(f"{m},1.0,0.0\n" for m in index)
+        with pytest.raises(ValueError, match=f"row {row} "):
+            streams_from_csv(text, SamplingPattern(4, (1,), 1.0))
 
 
 class TestMeasurementMatrix:

@@ -158,10 +158,3 @@ class TestPdSweep:
         cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
         res = pd_sweep(cfg, [30.0], [0.3], trials=10, seed=7, n_blocks=60, metric="contains")
         assert res.rows[0].pd >= 0.9
-
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
-        base = pd_sweep(cfg, [10.0], [0.2], trials=12, seed=8, n_blocks=60)
-        monkeypatch.setenv("SUBNYQ_THREADS", "4")
-        threaded = pd_sweep(cfg, [10.0], [0.2], trials=12, seed=8, n_blocks=60)
-        assert base == threaded

@@ -258,3 +258,21 @@ class TestSerialization:
         back = timeseries_from_csv(text, T=0.5)
         assert back.origin == 3
         assert np.array_equal(back.samples, x.samples)
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [("0,1.0,0.0\n5,2.0,0.0\n", 1), ("3,1.0,0.0\n4,2.0,0.0\n4,3.0,0.0\n", 2),
+         ("7,1.0,0.0\n3,2.0,0.0\n", 1)],
+    )
+    def test_timeseries_csv_index_gaps_and_reordering_rejected(self, body, row):
+        with pytest.raises(ValueError, match=f"row {row} "):
+            timeseries_from_csv("n,re,im\n" + body, T=1.0)
+
+
+class TestFiniteSamples:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        samples = np.ones(16, dtype=complex)
+        samples[9] = bad
+        with pytest.raises(ValueError, match="index 9"):
+            TimeSeries(samples, 1.0)
