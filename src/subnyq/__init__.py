@@ -20,6 +20,7 @@ from .blind import (
     eft_order,
     eigendecompose,
     estimate_support,
+    estimate_support_batch,
     mdl_order,
     music_localize,
     nlls_localize,

@@ -6,6 +6,11 @@ the measurement matrix.  Estimation therefore follows the classical subspace
 route: sample correlation, eigendecomposition, model-order selection (AIC,
 MDL, or an exponential-profile test), then localization by a MUSIC-like scan
 or by greedy nonlinear least squares on the projected residual.
+
+The chain runs on a stack of captures sharing one pattern
+(estimate_support_batch): one filter design, one stacked correlation and
+eigendecomposition, one order scoring and one MUSIC projection serve every
+capture.  estimate_support is the same code on a stack of one.
 """
 
 from __future__ import annotations
@@ -16,8 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reconstruct import design_filter, filter_streams, valid_range
-from .sampling import CosetStreams, MeasurementMatrix, SpectralIndexSet, build_measurement_matrix
+from .reconstruct import InterpolationFilter, design_filter, filter_streams, valid_range
+from .sampling import (
+    CosetStreams,
+    MeasurementMatrix,
+    SpectralIndexSet,
+    _one_capture,
+    build_measurement_matrix,
+)
 
 __all__ = [
     "CorrelationMatrix",
@@ -32,9 +43,22 @@ __all__ = [
     "music_localize",
     "nlls_localize",
     "estimate_support",
+    "estimate_support_batch",
 ]
 
 _EIG_FLOOR = 1e-300
+
+
+def _check_correlation(R: np.ndarray, vals: np.ndarray) -> None:
+    """Raise unless each matrix of the stack R is Hermitian and PSD up to
+    roundoff; vals holds its eigenvalues along the last axis."""
+    scale = np.abs(R).max(axis=(-2, -1))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    if np.any(np.abs(R - R.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
+        raise ValueError("R must be Hermitian")
+    floor = -1e-10 * np.maximum(np.trace(R, axis1=-2, axis2=-1).real, 0.0) - 1e-300
+    if np.any(vals.min(axis=-1) < floor):
+        raise ValueError("R must be positive semidefinite up to roundoff")
 
 
 @dataclass(frozen=True)
@@ -48,12 +72,7 @@ class CorrelationMatrix:
         R = np.asarray(self.R, dtype=np.complex128)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("R must be square")
-        scale = float(np.abs(R).max()) or 1.0
-        if np.abs(R - R.conj().T).max() > 1e-10 * scale:
-            raise ValueError("R must be Hermitian")
-        floor = -1e-10 * max(float(np.trace(R).real), 0.0) - 1e-300
-        if float(np.linalg.eigvalsh(R)[0]) < floor:
-            raise ValueError("R must be positive semidefinite up to roundoff")
+        _check_correlation(R, np.linalg.eigvalsh(R))
         object.__setattr__(self, "R", R)
 
     @property
@@ -76,6 +95,12 @@ class OrderEstimate:
     method: str
 
 
+def _correlate(X: np.ndarray) -> np.ndarray:
+    """Hermitized mean outer product over the last axis of a (..., p, M) stack."""
+    R = (X @ X.conj().swapaxes(-1, -2)) / X.shape[-1]
+    return (R + R.conj().swapaxes(-1, -2)) / 2.0
+
+
 def sample_correlation(filtered_streams: np.ndarray, M: int | None = None) -> CorrelationMatrix:
     """Average outer product of the stream snapshot vectors over M samples.
 
@@ -91,36 +116,54 @@ def sample_correlation(filtered_streams: np.ndarray, M: int | None = None) -> Co
         M = n
     if M <= 0 or M > n:
         raise ValueError(f"need 1 <= M <= {n} samples, got {M}")
-    Xm = X[:, :M]
-    R = (Xm @ Xm.conj().T) / M
-    R = (R + R.conj().T) / 2.0
-    return CorrelationMatrix(R, M)
+    return CorrelationMatrix(_correlate(X[:, :M]), M)
+
+
+def _eigh_descending(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and matching eigenvector columns of a stack."""
+    vals, vecs = np.linalg.eigh(R)
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def eigendecompose(Rhat: CorrelationMatrix) -> EigenSpectrum:
-    vals, vecs = np.linalg.eigh(Rhat.R)
-    return EigenSpectrum(values=vals[::-1].copy(), vectors=vecs[:, ::-1].copy())
+    vals, vecs = _eigh_descending(Rhat.R)
+    return EigenSpectrum(values=vals, vectors=vecs)
+
+
+def _check_descending(vals: np.ndarray) -> None:
+    top = np.maximum(np.abs(vals[..., :1]), 1e-30)
+    if np.any(np.diff(vals, axis=-1) > 1e-9 * top):
+        raise ValueError("eigenvalues must be sorted descending")
 
 
 def _eigs_of(eigs) -> np.ndarray:
     vals = eigs.values if isinstance(eigs, EigenSpectrum) else np.asarray(eigs, dtype=float)
-    if np.any(np.diff(vals) > 1e-9 * max(abs(vals[0]), 1e-30)):
-        raise ValueError("eigenvalues must be sorted descending")
+    _check_descending(vals)
     return vals
 
 
+def _floor_roundoff(vals: np.ndarray, p: int) -> np.ndarray:
+    """Raise eigenvalues to p*eps*lambda_max, the roundoff level of a p x p
+    eigensolver.  Noiseless data leave tail eigenvalues of +-1e-18 relative,
+    which are no noise floor; the criteria assume a positive one (Wax and
+    Kailath 1985), and below it they count roundoff as signal."""
+    return np.maximum(vals, p * np.finfo(float).eps * np.maximum(vals[..., :1], 0.0))
+
+
 def _itc_scores(vals: np.ndarray, M: int, p: int, q_min: int, q_max: int, mdl: bool) -> np.ndarray:
+    """AIC or MDL score of every order q_min..q_max, along the last axis of
+    a stack of descending eigenvalues."""
     if not 0 <= q_min <= q_max < p:
         raise ValueError("need 0 <= q_min <= q_max < p")
-    vals = np.maximum(vals, max(vals[0], 0.0) * 1e-300 + _EIG_FLOOR)
-    scores = np.empty(q_max - q_min + 1)
+    vals = np.maximum(_floor_roundoff(vals, p), _EIG_FLOOR)
+    scores = np.empty((*vals.shape[:-1], q_max - q_min + 1))
     for i, r in enumerate(range(q_min, q_max + 1)):
-        tail = vals[r:p]
-        log_g = float(np.mean(np.log(tail)))
-        log_a = float(np.log(np.mean(tail)))
+        tail = vals[..., r:p]
+        log_g = np.mean(np.log(tail), axis=-1)
+        log_a = np.log(np.mean(tail, axis=-1))
         data = -M * (p - r) * (log_g - log_a)  # >= 0 by AM-GM
         penalty = 0.5 * r * (2 * p - r) * math.log(M) if mdl else r * (2 * p - r)
-        scores[i] = data + penalty
+        scores[..., i] = data + penalty
     return scores
 
 
@@ -163,10 +206,11 @@ def eft_order(
     construction (a profile needs two points).  criterion_values holds the
     relative mismatches per tested position (the two seed positions stay 0).
     M is accepted for interface parity with the information criteria but the
-    data-fitted extrapolation does not use it.
+    data-fitted extrapolation does not use it.  Eigenvalues below the
+    roundoff level p*eps*lambda_max count as that level.
     """
     del M
-    vals = _eigs_of(eigs)
+    vals = _floor_roundoff(_eigs_of(eigs), p)
     if q_max is None:
         q_max = p - 1
     mismatches = np.zeros(max(p - 1, 0))
@@ -174,7 +218,7 @@ def eft_order(
         # not enough positive tail to fit a profile; count clear non-zeros
         nz = int(np.sum(vals[:p] > 0))
         return OrderEstimate(min(max(nz, 0), q_max), mismatches, "EFT")
-    asc = np.maximum(vals[::-1], vals[0] * 1e-300 + _EIG_FLOOR)
+    asc = np.maximum(vals[::-1], _EIG_FLOOR)
     accepted = 2
     q_hat = 0
     for m in range(2, p):
@@ -187,6 +231,38 @@ def eft_order(
             break
         accepted += 1
     return OrderEstimate(min(q_hat, q_max), mismatches, "EFT")
+
+
+def _music_spectrum(vectors: np.ndarray, cols: np.ndarray, q_hat) -> np.ndarray:
+    """MUSIC pseudo-spectra of a stack of eigenvector sets in one projection.
+
+    vectors is (..., p, p) with columns in descending eigenvalue order and
+    q_hat (...) the matching orders; the noise subspace E_n of each is its
+    trailing p - q_hat columns and the result is (..., L).
+    """
+    p = cols.shape[0]
+    q_hat = np.asarray(q_hat)
+    if np.any(q_hat >= p):
+        raise ValueError("q_hat must be smaller than p")
+    if np.any(q_hat < 0):
+        raise ValueError("q_hat must be nonnegative")
+    num = np.sum(np.abs(cols) ** 2, axis=0)
+    power = np.abs(vectors.conj().swapaxes(-1, -2) @ cols) ** 2  # (..., p, L)
+    noise = np.arange(p) >= q_hat[..., np.newaxis]
+    den = np.where(noise[..., np.newaxis], power, 0.0).sum(axis=-2)
+    with np.errstate(divide="ignore"):
+        return np.where(den > 0.0, num / np.maximum(den, _EIG_FLOOR), np.inf)
+
+
+def _select_cells(pseudo: np.ndarray, q_hat: int, threshold: float | None) -> SpectralIndexSet:
+    L = len(pseudo)
+    if threshold is not None:
+        chosen = np.nonzero(pseudo > threshold)[0]
+    elif q_hat == 0:
+        chosen = np.array([], dtype=int)
+    else:
+        chosen = np.sort(np.argsort(pseudo, kind="stable")[L - q_hat :])
+    return SpectralIndexSet(tuple(int(c) for c in chosen), L)
 
 
 def music_localize(
@@ -204,26 +280,13 @@ def music_localize(
     selects every cell whose value exceeds it instead (for pipelines where
     q_hat is only approximate).
     """
-    p, L = A.entries.shape
-    if q_hat >= p:
-        raise ValueError("q_hat must be smaller than p")
-    if q_hat < 0:
-        raise ValueError("q_hat must be nonnegative")
-    En = eigs.vectors[:, q_hat:]
-    cols = A.entries  # p x L
-    num = np.sum(np.abs(cols) ** 2, axis=0)
-    proj = En.conj().T @ cols  # (p-q) x L
-    den = np.sum(np.abs(proj) ** 2, axis=0)
-    with np.errstate(divide="ignore"):
-        pseudo = np.where(den > 0.0, num / np.maximum(den, _EIG_FLOOR), np.inf)
-    if threshold is not None:
-        chosen = np.nonzero(pseudo > threshold)[0]
-    elif q_hat == 0:
-        chosen = np.array([], dtype=int)
-    else:
-        order = np.argsort(pseudo, kind="stable")
-        chosen = np.sort(order[L - q_hat :])
-    return SpectralIndexSet(tuple(int(c) for c in chosen), L), pseudo
+    pseudo = _music_spectrum(eigs.vectors, A.entries, q_hat)
+    return _select_cells(pseudo, q_hat, threshold), pseudo
+
+
+def _median_threshold(pseudo: np.ndarray, factor: float) -> float:
+    finite = pseudo[np.isfinite(pseudo)]
+    return factor * (float(np.median(finite)) if finite.size else 0.0)
 
 
 def nlls_localize(
@@ -240,18 +303,24 @@ def nlls_localize(
     q_max cells or once the residual drops to epsilon.  Returns the support
     and the residual trace after 0..|k| selections (nonincreasing).
     """
+    if Rhat.p != A.pattern.p:
+        raise ValueError("correlation size does not match measurement matrix")
+    return _nlls(Rhat.R, A, q_max, epsilon)
+
+
+def _nlls(
+    R: np.ndarray, A: MeasurementMatrix, q_max: int, epsilon: float
+) -> tuple[SpectralIndexSet, np.ndarray]:
+    """nlls_localize on a correlation matrix already checked Hermitian PSD."""
     p, L = A.entries.shape
     if q_max >= p:
         raise ValueError("q_max must be smaller than p")
-    if Rhat.p != p:
-        raise ValueError("correlation size does not match measurement matrix")
     if p < 2 * q_max:
         warnings.warn(
             "p < 2*q_max: greedy least squares may fail on coherent (rank-"
             "deficient) cell contents",
-            stacklevel=2,
+            stacklevel=3,
         )
-    R = Rhat.R
     residuals = [float(np.trace(R).real)]
     chosen: list[int] = []
     if residuals[0] <= epsilon:
@@ -275,20 +344,52 @@ def nlls_localize(
     return SpectralIndexSet(tuple(chosen), L), np.asarray(residuals)
 
 
+def _independent_fraction(filt: InterpolationFilter) -> float:
+    """How many independent snapshots one snapshot every L base samples is worth.
+
+    The detection passband is narrower than the cell, so white noise through
+    the filter stays correlated from one snapshot to the next, with
+    normalized autocorrelation rho_k = r(kL) / r(0) for r the autocorrelation
+    of the taps.  A correlation estimate from M such snapshots varies like
+    one from M / (1 + 2 sum_k |rho_k|^2) independent ones (its Wishart
+    degrees of freedom); the information criteria assume independent
+    snapshots and over-count the order when given M.
+    """
+    h, L = filt.taps, filt.L
+    r0 = np.vdot(h, h).real
+    rho2 = sum(abs(np.vdot(h[: len(h) - k], h[k:]) / r0) ** 2 for k in range(L, len(h), L))
+    return 1.0 / (1.0 + 2.0 * rho2)
+
+
 @dataclass(frozen=True)
 class BlindReport:
-    """Everything the blind chain estimated from one block of coset data."""
+    """Everything the blind chain estimated from one block of coset data.
+
+    filter_meets_spec is False when the detection filter's tap budget could
+    not reach its ripple targets, so content may leak between cells.
+    """
 
     q_hat: int
     k_hat: SpectralIndexSet
     order: OrderEstimate
     eigs: EigenSpectrum
     snapshots: int
+    filter_meets_spec: bool
     pseudo_spectrum: np.ndarray | None = None
     ls_trace: np.ndarray | None = None
 
 
-def estimate_support(
+def estimate_support(streams: CosetStreams, **options) -> BlindReport:
+    """Full blind chain on one (p, length/L) capture.
+
+    This is estimate_support_batch on a stack of one, with the same options.
+    """
+    _one_capture(streams)
+    stack = CosetStreams(streams.samples[np.newaxis], streams.pattern)
+    return estimate_support_batch(stack, **options)[0]
+
+
+def estimate_support_batch(
     streams: CosetStreams,
     order_method: str = "mdl",
     localize_method: str = "music",
@@ -299,13 +400,22 @@ def estimate_support(
     threshold_factor: float = 10.0,
     epsilon_rel: float = 0.01,
     eft_threshold: float = 0.5,
-) -> BlindReport:
-    """Full blind chain: filter, correlate, select order, localize cells.
+) -> list[BlindReport]:
+    """Full blind chain for each capture of a stack: filter, correlate,
+    select order, localize cells.
+
+    streams.samples is a (T, p, length/L) stack of captures under one
+    pattern; the result holds one report per capture, each computed from
+    that capture alone.  The filter is designed once and each stage runs
+    once over the stack, except EFT order selection and least squares,
+    which loop over the captures.
 
     The detection filter keeps its transition inside the cell with a deep
     stopband, so content hugging a cell boundary cannot register in the
     neighboring cell; correlation uses one transient-free snapshot every L
-    base samples, and only those filter outputs are computed.  MUSIC
+    base samples, and only those filter outputs are computed.  Those
+    snapshots are correlated, so AIC and MDL score them as the equivalent
+    number of independent snapshots (report.snapshots keeps the count).  MUSIC
     selection takes the q_hat largest pseudo-spectrum values ("top") or
     everything above threshold_factor times the median ("threshold"); the
     least-squares route stops at q_hat cells or when the residual falls
@@ -317,6 +427,8 @@ def estimate_support(
         raise ValueError("localize_method must be 'music' or 'nlls'")
     if select not in ("top", "threshold"):
         raise ValueError("select must be 'top' or 'threshold'")
+    if streams.samples.ndim != 3:
+        raise ValueError("expected a stack of captures: samples of shape (T, p, length/L)")
     pattern = streams.pattern
     L, p = pattern.L, pattern.p
     if q_max is None:
@@ -332,39 +444,41 @@ def estimate_support(
     if hi - lo < L:
         raise ValueError("series too short: no transient-free snapshots remain")
     M_corr = len(range(lo, hi, L))
-    Rhat = sample_correlation(filter_streams(streams, filt, lo, L)[:, :M_corr])
-    eigs = eigendecompose(Rhat)
-    if order_method == "aic":
-        order = aic_order(eigs, M_corr, p, q_min=q_min, q_max=q_max)
-    elif order_method == "mdl":
-        order = mdl_order(eigs, M_corr, p, q_min=q_min, q_max=q_max)
+    R = _correlate(filter_streams(streams, filt, lo, L)[..., :M_corr])
+    vals, vecs = _eigh_descending(R)
+    _check_correlation(R, vals)
+    _check_descending(vals)
+    if order_method == "eft":
+        orders = [eft_order(v, M_corr, p, threshold=eft_threshold, q_max=q_max) for v in vals]
     else:
-        order = eft_order(eigs, M_corr, p, threshold=eft_threshold, q_max=q_max)
-    q_hat = order.q_hat
+        M_ind = M_corr * _independent_fraction(filt)
+        scores = _itc_scores(vals, M_ind, p, q_min, q_max, mdl=order_method == "mdl")
+        q_hats = q_min + np.argmin(scores, axis=-1)
+        orders = [OrderEstimate(int(q), s, order_method.upper()) for q, s in zip(q_hats, scores)]
     A = build_measurement_matrix(pattern)
     if localize_method == "music":
-        k_top, pseudo = music_localize(eigs, A, q_hat)
-        if select == "threshold":
-            finite = pseudo[np.isfinite(pseudo)]
-            med = float(np.median(finite)) if finite.size else 0.0
-            k_hat, _ = music_localize(eigs, A, q_hat, threshold=threshold_factor * med)
+        pseudo = _music_spectrum(vecs, A.entries, [o.q_hat for o in orders])
+    reports = []
+    for t, order in enumerate(orders):
+        if localize_method == "music":
+            threshold = None
+            if select == "threshold":
+                threshold = _median_threshold(pseudo[t], threshold_factor)
+            k_hat = _select_cells(pseudo[t], order.q_hat, threshold)
+            found = {"pseudo_spectrum": pseudo[t]}
         else:
-            k_hat = k_top
-        return BlindReport(
-            q_hat=q_hat,
-            k_hat=k_hat,
-            order=order,
-            eigs=eigs,
-            snapshots=M_corr,
-            pseudo_spectrum=pseudo,
+            epsilon = epsilon_rel * float(np.trace(R[t]).real)
+            k_hat, residuals = _nlls(R[t], A, max(order.q_hat, 1), epsilon)
+            found = {"ls_trace": residuals}
+        reports.append(
+            BlindReport(
+                q_hat=order.q_hat,
+                k_hat=k_hat,
+                order=order,
+                eigs=EigenSpectrum(vals[t], vecs[t]),
+                snapshots=M_corr,
+                filter_meets_spec=filt.meets_spec,
+                **found,
+            )
         )
-    epsilon = epsilon_rel * float(np.trace(Rhat.R).real)
-    k_hat, residuals = nlls_localize(Rhat, A, max(q_hat, 1), epsilon=epsilon)
-    return BlindReport(
-        q_hat=q_hat,
-        k_hat=k_hat,
-        order=order,
-        eigs=eigs,
-        snapshots=M_corr,
-        ls_trace=residuals,
-    )
+    return reports

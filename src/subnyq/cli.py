@@ -408,6 +408,7 @@ def _cmd_reconstruct(cfg: dict) -> None:
         "k": list(k.k),
         "Nh": cfg["Nh"],
         "valid": list(report.valid),
+        "filter_meets_spec": report.filter_meets_spec,
     }
     _write_json(cfg["report"] or cfg["out"] + ".json", payload)
     if cfg["plot_out"]:
@@ -441,6 +442,7 @@ def _cmd_blind(cfg: dict) -> None:
         "criterion_values": [float(v) for v in report.order.criterion_values],
         "order_method": report.order.method,
         "eigenvalues": [float(v) for v in report.eigs.values],
+        "filter_meets_spec": report.filter_meets_spec,
     }
     if report.pseudo_spectrum is not None:
         payload["pseudo_spectrum"] = [

@@ -21,6 +21,7 @@ from .sampling import (
     CosetStreams,
     SamplingPattern,
     SpectralIndexSet,
+    _one_capture,
     build_measurement_matrix,
     reduce_matrix,
 )
@@ -163,10 +164,12 @@ def filter_streams(
 ) -> np.ndarray:
     """Interpolate every coset stream onto the base grid; delay-compensated.
 
-    Column j of the output is the filtered stream at base index
-    start + j*step, for each such index below streams.length.  Each row is
-    one polyphase convolution: the ADC samples are upsampled by L onto their
-    coset, filtered, and only every step-th output is computed.  Besides the
+    The output has the shape of streams.samples, (..., p, m), except for its
+    last axis: column j is the filtered stream at base index start + j*step,
+    for each such index below streams.length.  Leading (capture) axes are
+    filtered independently.  Each coset is one polyphase convolution over
+    the whole stack: its ADC samples are upsampled by L onto the coset,
+    filtered, and only every step-th output is computed.  Besides the
     integer group delay, the modulated taps leave a constant phase
     exp(j*pi*d/L) at the center tap; both are removed here so the effective
     response is zero phase on the passband.
@@ -179,7 +182,7 @@ def filter_streams(
         raise ValueError("need start >= 0 and step >= 1")
     d = filt.group_delay
     n_out = len(range(start, streams.length, step))
-    out = np.zeros((pattern.p, n_out), dtype=np.complex128)
+    out = np.zeros((*streams.samples.shape[:-1], n_out), dtype=np.complex128)
     for i, c in enumerate(pattern.C):
         # output j is the upsampled convolution at index off + j*step; z
         # leading zero taps shift that onto a nonnegative multiple of step
@@ -187,8 +190,9 @@ def filter_streams(
         first = max(-(-off // step), 0)
         z = first * step - off
         taps = np.concatenate((np.zeros(z, dtype=np.complex128), filt.taps))
-        y = sps.upfirdn(taps, streams.samples[i], up=L, down=step)[first : first + n_out]
-        out[i, : len(y)] = y
+        y = sps.upfirdn(taps, streams.samples[..., i, :], up=L, down=step, axis=-1)
+        y = y[..., first : first + n_out]
+        out[..., i, : y.shape[-1]] = y
     return out * np.exp(-1j * np.pi * d / L)
 
 
@@ -230,6 +234,7 @@ class ReconstructionReport:
     k: SpectralIndexSet
     cond: float
     valid: tuple[int, int]
+    filter_meets_spec: bool
 
 
 def reconstruct_time(
@@ -244,7 +249,10 @@ def reconstruct_time(
     re-modulated to its cell slot.  The relative error against the reference
     is computed over the transient-free index range only; with a zero
     reference the error reports 0 when the reconstruction is also zero.
+    filter_meets_spec repeats filt.meets_spec: a filter short of its ripple
+    targets degrades the result without any other sign.
     """
+    _one_capture(streams)
     pattern = streams.pattern
     if k.q > pattern.p:
         raise IllPosedError(f"q={k.q} active cells exceed p={pattern.p} cosets")
@@ -276,6 +284,7 @@ def reconstruct_time(
         k=k,
         cond=cond,
         valid=(lo, hi),
+        filter_meets_spec=filt.meets_spec,
     )
 
 
@@ -312,6 +321,7 @@ def reconstruct_frequency(
     is an independent oracle for the time-domain path (exact up to noise
     when the system is well posed).
     """
+    _one_capture(streams)
     pattern = streams.pattern
     if k.q > pattern.p:
         raise IllPosedError(f"q={k.q} active cells exceed p={pattern.p} cosets")

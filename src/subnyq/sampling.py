@@ -95,7 +95,9 @@ class CosetStreams:
 
     Row i holds x[m*L + c_i] for m = 0 .. length/L - 1, i.e. the stream the
     i-th ADC produces at rate 1/(L*T).  length is the base-grid span the
-    streams cover, always a multiple of L.
+    streams cover, always a multiple of L.  Leading axes, if any, index
+    separate captures under the same pattern: samples then has shape
+    (..., p, length/L).
     """
 
     samples: np.ndarray
@@ -103,17 +105,23 @@ class CosetStreams:
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.complex128)
-        if s.ndim != 2 or s.shape[0] != self.pattern.p:
-            raise ValueError("samples must be a (p, length/L) array")
+        if s.ndim < 2 or s.shape[-2] != self.pattern.p:
+            raise ValueError("samples must be a (..., p, length/L) array")
         bad = np.argwhere(~np.isfinite(s))
         if bad.size:
-            i, m = bad[0]
-            raise ValueError(f"stream {i} has a non-finite sample at m={m}")
+            *capture, i, m = bad[0]
+            where = f" of capture {tuple(int(v) for v in capture)}" if capture else ""
+            raise ValueError(f"stream {i}{where} has a non-finite sample at m={m}")
         object.__setattr__(self, "samples", s)
 
     @property
     def length(self) -> int:
-        return self.samples.shape[1] * self.pattern.L
+        return self.samples.shape[-1] * self.pattern.L
+
+
+def _one_capture(cs: CosetStreams) -> None:
+    if cs.samples.ndim != 2:
+        raise ValueError("expected one capture: samples of shape (p, length/L)")
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,7 @@ def blind_parameters(N: int, B: float, f_max: float, d: int) -> BlindParameters:
 
 def streams_to_csv(cs: CosetStreams, header_comment: str = "") -> str:
     """Coset streams as CSV, one row per ADC sample: m, then re/im per coset."""
+    _one_capture(cs)
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")

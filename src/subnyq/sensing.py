@@ -17,6 +17,7 @@ import numpy as np
 from . import blind
 from .patterns import anchor_support, condition_number, draw_anchors, sfs_pattern_search
 from .sampling import (
+    CosetStreams,
     SamplingPattern,
     SpectralIndexSet,
     build_measurement_matrix,
@@ -164,10 +165,8 @@ def plan_sensing(cfg: SensingConfig) -> SensingPlan:
     )
 
 
-def _detect(cfg: SensingConfig, pattern: SamplingPattern, x: TimeSeries) -> blind.BlindReport:
-    streams = coset_decompose(x, pattern)
-    return blind.estimate_support(
-        streams,
+def _blind_options(cfg: SensingConfig) -> dict:
+    return dict(
         order_method=cfg.order_method,
         localize_method=cfg.localize_method,
         n_taps=cfg.n_taps,
@@ -188,7 +187,8 @@ def sense(cfg: SensingConfig, x: TimeSeries) -> SensingReport:
     if abs(x.T - 1.0 / cfg.f_max) > 1e-9 * x.T:
         raise ValueError(f"series period {x.T} is not 1/f_max = {1.0 / cfg.f_max}")
     plan = plan_sensing(cfg)
-    report = _detect(cfg, plan.pattern, x)
+    streams = coset_decompose(x, plan.pattern)
+    report = blind.estimate_support(streams, **_blind_options(cfg))
     k_hat, q_hat = report.k_hat, report.q_hat
     A = build_measurement_matrix(plan.pattern)
     cond = condition_number(reduce_matrix(A, k_hat)) if k_hat.q else 1.0
@@ -204,33 +204,40 @@ def sense(cfg: SensingConfig, x: TimeSeries) -> SensingReport:
         "snr_definition": "in-band signal power over total noise power in [0, f_max]",
         "degraded_confidence": bool(not math.isfinite(cond) or cond > 1e6),
         "under_provisioned": bool(q_hat >= plan.p - 1),
+        "filter_meets_spec": report.filter_meets_spec,
     }
     return SensingReport(
         occupied=k_hat, free_channels=free, q_hat=q_hat, diagnostics=diagnostics
     )
 
 
-def _pd_trial(
-    cfg: SensingConfig,
-    pattern: SamplingPattern,
-    n_samples: int,
-    snr_db: float,
-    seed_key: list[int],
-    metric: str,
-) -> bool:
+def _coset_trial(
+    pattern: SamplingPattern, n_blocks: int, snr_db: float, seed_key: list[int]
+) -> tuple[int, np.ndarray]:
+    """One pd trial: a unit-noise tone in a random channel, as coset samples.
+
+    Draws the channel, the phase and n_blocks*L complex noise samples in that
+    order, then evaluates the tone and keeps the noise only at the coset
+    positions j*L + c_i: elementwise the values coset_decompose selects from
+    the full-rate capture.  Returns the channel and the (p, n_blocks) samples.
+    """
     rng = np.random.default_rng(seed_key)
     L = pattern.L
+    n_samples = n_blocks * L
     m = int(rng.integers(L))
     amp = math.sqrt(10.0 ** (snr_db / 10.0))  # unit total noise power
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    n = np.arange(n_samples)
+    n = np.arange(n_blocks) * L + np.asarray(pattern.C)[:, np.newaxis]
     tone = amp * np.exp(1j * (2.0 * np.pi * (m + 0.5) / L * n + phase))
-    noise = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)) / math.sqrt(2.0)
-    x = TimeSeries(tone + noise, pattern.T)
-    report = _detect(cfg, pattern, x)
+    re = rng.standard_normal(n_samples)[n]
+    im = rng.standard_normal(n_samples)[n]
+    return m, tone + (re + 1j * im) / math.sqrt(2.0)
+
+
+def _detected(report: blind.BlindReport, channel: int, metric: str) -> bool:
     if metric == "contains":
-        return m in report.k_hat.k and report.k_hat.q <= max(report.q_hat, 1)
-    return report.k_hat.k == (m,)
+        return channel in report.k_hat.k and report.k_hat.q <= max(report.q_hat, 1)
+    return report.k_hat.k == (channel,)
 
 
 def pd_sweep(
@@ -253,7 +260,10 @@ def pd_sweep(
     count p = cr*L >= 2.  Cell selection defaults to the top-q form, which
     remains meaningful at p = 2 where threshold selection cannot isolate a
     single wide peak.  Per-trial RNG streams derive from (seed, point,
-    trial), so results do not depend on scheduling.
+    trial), and all trials of one compression ratio run as one batch of
+    estimate_support_batch, whose reports do not depend on what else is in
+    the batch; so results do not depend on batching or on which other grid
+    points are swept.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -268,20 +278,26 @@ def pd_sweep(
             raise ValueError(f"CR={cr} must give an integer p = CR*L >= 2 (got {p_exact})")
         pat = _auto_pattern(L, p, cfg_template.f_max, cfg_template.seed + p)
         patterns.append((float(cr), pat))
-    n_samples = n_blocks * L
-    cfg = replace(cfg_template, select=select)
+    snrs = [float(s) for s in snr_db_list]
+    options = _blind_options(replace(cfg_template, select=select))
     rows: list[PdPoint] = []
     for i_cr, (cr, pat) in enumerate(patterns):
-        for i_snr, snr_db in enumerate(snr_db_list):
-            det = sum(
-                _pd_trial(cfg, pat, n_samples, snr_db, [seed, i_cr, i_snr, t], metric)
-                for t in range(trials)
-            )
+        stack = np.empty((len(snrs) * trials, pat.p, n_blocks), dtype=np.complex128)
+        channels = []
+        for i_snr, snr_db in enumerate(snrs):
+            for t in range(trials):
+                key = [seed, i_cr, i_snr, t]
+                channel, stack[i_snr * trials + t] = _coset_trial(pat, n_blocks, snr_db, key)
+                channels.append(channel)
+        reports = blind.estimate_support_batch(CosetStreams(stack, pat), **options)
+        hits = [_detected(r, c, metric) for r, c in zip(reports, channels)]
+        for i_snr, snr_db in enumerate(snrs):
+            det = sum(hits[i_snr * trials : (i_snr + 1) * trials])
             pd = det / trials
             ci95 = 1.96 * math.sqrt(max(pd * (1.0 - pd), 1e-12) / trials)
             rows.append(
                 PdPoint(
-                    snr_db=float(snr_db),
+                    snr_db=snr_db,
                     cr=float(cr),
                     trials=trials,
                     detections=det,

@@ -110,7 +110,17 @@ def test_reconstruct_end_to_end(tmp_path, spec_file):
     assert payload["rmse"] <= 0.03
     assert payload["k"] == [4, 5, 6, 7, 8, 15, 16, 17, 24, 25, 26]
     assert payload["cond"] < 5.0
+    assert payload["filter_meets_spec"] is True
     assert out.read_text().splitlines()[1] == "n,re,im"
+
+
+def test_reconstruct_reports_failing_filter_spec(tmp_path, spec_file):
+    rep = tmp_path / "rec.json"
+    rc = main(["reconstruct", "--spec", spec_file, "--L", "16", "--p", "10",
+               "--Nh", "15", "--M", "1024", "--out", str(tmp_path / "rec.csv"),
+               "--report", str(rep)])
+    assert rc == 0
+    assert json.loads(rep.read_text())["filter_meets_spec"] is False
 
 
 def test_blind_command(tmp_path):
@@ -129,6 +139,7 @@ def test_blind_command(tmp_path):
     assert payload["k_hat"] == [4, 5, 11, 16, 17]
     assert len(payload["eigenvalues"]) == 7
     assert "pseudo_spectrum" in payload
+    assert payload["filter_meets_spec"] is True
     plot = (tmp_path / "eigs.csv").read_text().splitlines()
     assert plot[0] == "index,value"
     assert len(plot) == 8
@@ -189,6 +200,7 @@ def test_sense_command(tmp_path):
     assert payload["occupied"] == [5]
     assert len(payload["free_channels"]) == 19
     assert payload["diagnostics"]["order_method"] == "mdl"
+    assert payload["diagnostics"]["filter_meets_spec"] is True
 
 
 def test_pd_sweep_command_deterministic(tmp_path):

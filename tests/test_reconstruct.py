@@ -3,6 +3,7 @@ import pytest
 from scipy import signal as sps
 
 from subnyq import (
+    CosetStreams,
     IllPosedError,
     NoiseModel,
     SamplingPattern,
@@ -353,3 +354,35 @@ class TestPolyphaseMatchesPaddedPath:
         A = reduce_matrix(build_measurement_matrix(pat), k)
         ref = pseudo_inverse(A * pat.T) @ Y
         assert_rel_close(reconstruct_frequency(streams, k).cell_spectra, ref)
+
+
+class TestStacksAndSpec:
+    def test_filter_streams_on_a_stack(self):
+        rng = np.random.default_rng(21)
+        pattern = SamplingPattern(16, (0, 3, 5, 9, 12), 1.0)
+        samples = rng.standard_normal((3, 5, 40)) + 1j * rng.standard_normal((3, 5, 40))
+        stack = CosetStreams(samples, pattern)
+        filt = design_filter(16, 129, transition="inside")
+        for start, step in ((0, 1), (filt.group_delay, 16), (5, 3)):
+            out = filter_streams(stack, filt, start, step)
+            for t in range(3):
+                one = filter_streams(CosetStreams(samples[t], pattern), filt, start, step)
+                assert np.array_equal(out[t], one)
+
+    def test_reconstruction_takes_one_capture(self, clean_signal, cells):
+        streams = coset_decompose(clean_signal, sfs_pattern_search(L, 12, cells, T=T).pattern)
+        stack = CosetStreams(streams.samples[np.newaxis], streams.pattern)
+        with pytest.raises(ValueError, match="one capture"):
+            reconstruct_time(stack, cells, design_filter(L, 383))
+        with pytest.raises(ValueError, match="one capture"):
+            reconstruct_frequency(stack, cells)
+
+    def test_failing_filter_spec_reported(self, clean_signal, three_band_spec):
+        short = design_filter(16, 15)
+        assert not short.meets_spec
+        k = spectral_index_from_support(three_band_spec.support(), 16)
+        pattern = sfs_pattern_search(16, 10, k, T=T).pattern
+        streams = coset_decompose(clean_signal, pattern)
+        assert not reconstruct_time(streams, k, short, reference=clean_signal).filter_meets_spec
+        long = design_filter(16, 383)
+        assert reconstruct_time(streams, k, long, reference=clean_signal).filter_meets_spec

@@ -114,6 +114,20 @@ class TestCosetDecompose:
         with pytest.raises(ValueError, match="stream 1 .* m=3"):
             CosetStreams(samples, SamplingPattern(4, (0, 2), 1.0))
 
+    def test_stack_of_captures(self):
+        from subnyq import CosetStreams
+        from subnyq.sampling import streams_to_csv
+
+        pat = SamplingPattern(4, (0, 2), 1.0)
+        samples = np.ones((3, 2, 5), dtype=complex)
+        cs = CosetStreams(samples, pat)
+        assert cs.length == 20
+        with pytest.raises(ValueError, match="one capture"):
+            streams_to_csv(cs)
+        samples[2, 1, 3] = np.nan
+        with pytest.raises(ValueError, match=r"stream 1 of capture \(2,\) .* m=3"):
+            CosetStreams(samples, pat)
+
     def test_csv_roundtrip(self):
         from subnyq.sampling import streams_from_csv, streams_to_csv
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from subnyq import (
     TimeSeries,
     apply_noise,
     bandlimited_noise,
+    coset_decompose,
     pd_sweep,
     plan_sensing,
     sense,
@@ -158,3 +161,30 @@ class TestPdSweep:
         cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
         res = pd_sweep(cfg, [30.0], [0.3], trials=10, seed=7, n_blocks=60, metric="contains")
         assert res.rows[0].pd >= 0.9
+
+    @pytest.mark.parametrize("key,snr_db", [([5, 1, 2, 3], 7.5), ([77, 0, 6, 399], 30.0), ([0, 2, 0, 0], -10.0)])
+    def test_coset_trial_is_the_decomposed_capture(self, key, snr_db):
+        from subnyq.sensing import _coset_trial
+
+        pattern = SamplingPattern(20, (0, 3, 7, 11, 16, 19), 0.05)
+        L, n_blocks = 20, 37
+        channel, samples = _coset_trial(pattern, n_blocks, snr_db, key)
+        # the full-rate capture, drawn in the same order from the same key
+        rng = np.random.default_rng(key)
+        m = int(rng.integers(L))
+        amp = math.sqrt(10.0 ** (snr_db / 10.0))
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        n = np.arange(n_blocks * L)
+        tone = amp * np.exp(1j * (2.0 * np.pi * (m + 0.5) / L * n + phase))
+        noise = (rng.standard_normal(len(n)) + 1j * rng.standard_normal(len(n))) / math.sqrt(2.0)
+        ref = coset_decompose(TimeSeries(tone + noise, pattern.T), pattern)
+        assert channel == m
+        assert samples.shape == ref.samples.shape
+        assert samples.tobytes() == ref.samples.tobytes()
+
+    def test_row_independent_of_other_grid_points(self):
+        cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
+        alone = pd_sweep(cfg, [0.0], [0.1], trials=40, seed=3, n_blocks=60)
+        grid = pd_sweep(cfg, [0.0, 30.0], [0.1, 0.2], trials=40, seed=3, n_blocks=60)
+        assert 0 < alone.rows[0].detections < 40
+        assert grid.rows[0] == alone.rows[0]
