@@ -9,13 +9,14 @@ or by greedy nonlinear least squares on the projected residual.
 
 The chain runs on a stack of captures sharing one pattern
 (estimate_support_batch): one filter design, one stacked correlation and
-eigendecomposition, one order scoring and one MUSIC projection serve every
-capture.  estimate_support is the same code on a stack of one.
+eigendecomposition, one order selection and one localization pass serve
+every capture.  estimate_support is the same code on a stack of one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 _EIG_FLOOR = 1e-300
+_EFT_THRESHOLD = 0.5  # relative profile mismatch that marks the break
+_MUSIC_THRESHOLD_FACTOR = 10.0  # threshold selection: this times the median
+_SPAN_TOL = 1e-10  # a column keeping at most this share of its energy lies in the span
 
 
 def _check_correlation(R: np.ndarray, vals: np.ndarray) -> None:
@@ -193,7 +197,7 @@ def eft_order(
     eigs,
     M: int,
     p: int,
-    threshold: float = 0.5,
+    threshold: float = _EFT_THRESHOLD,
     q_max: int | None = None,
 ) -> OrderEstimate:
     """Exponential-profile test: count eigenvalues fitting the noise tail.
@@ -210,27 +214,27 @@ def eft_order(
     roundoff level p*eps*lambda_max count as that level.
     """
     del M
-    vals = _floor_roundoff(_eigs_of(eigs), p)
     if q_max is None:
         q_max = p - 1
-    mismatches = np.zeros(max(p - 1, 0))
-    if p < 2 or vals[p - 1] <= 0 and vals[p - 2] <= 0:
-        # not enough positive tail to fit a profile; count clear non-zeros
-        nz = int(np.sum(vals[:p] > 0))
-        return OrderEstimate(min(max(nz, 0), q_max), mismatches, "EFT")
-    asc = np.maximum(vals[::-1], _EIG_FLOOR)
-    accepted = 2
-    q_hat = 0
-    for m in range(2, p):
-        ratio = (asc[accepted - 1] / asc[0]) ** (1.0 / (accepted - 1))
-        predicted = asc[accepted - 1] * ratio
-        rel = (asc[m] - predicted) / predicted
-        mismatches[m - 1] = rel
-        if rel > threshold:
-            q_hat = p - accepted
-            break
-        accepted += 1
-    return OrderEstimate(min(q_hat, q_max), mismatches, "EFT")
+    q_hat, mismatches = _eft_orders(_eigs_of(eigs), p, threshold, q_max)
+    return OrderEstimate(int(q_hat), mismatches, "EFT")
+
+
+def _eft_orders(vals: np.ndarray, p: int, threshold: float, q_max: int):
+    """EFT orders (at most q_max) and mismatches along the last axis of a
+    stack: with ascending positions below m accepted as noise, position m is
+    predicted as asc[m-1] * (asc[m-1] / asc[0]) ** (1 / (m-1)), so all
+    mismatches follow at once; an all-zero profile is flat (order 0)."""
+    asc = np.maximum(_floor_roundoff(vals[..., :p], p)[..., ::-1], _EIG_FLOOR)
+    m = np.arange(2, p)
+    predicted = asc[..., m - 1] * (asc[..., m - 1] / asc[..., :1]) ** (1.0 / (m - 1))
+    rel = (asc[..., m] - predicted) / predicted
+    # the first break, len(m) when there is none; mismatches past it stay 0
+    breaks = np.append(rel > threshold, np.ones_like(asc[..., :1], bool), axis=-1)
+    first = np.argmax(breaks, axis=-1)
+    mismatches = np.zeros((*asc.shape[:-1], max(p - 1, 0)))
+    mismatches[..., 1:] = np.where(m - 2 <= first[..., np.newaxis], rel, 0.0)
+    return np.minimum(np.where(first < len(m), p - 2 - first, 0), q_max), mismatches
 
 
 def _music_spectrum(vectors: np.ndarray, cols: np.ndarray, q_hat) -> np.ndarray:
@@ -254,15 +258,18 @@ def _music_spectrum(vectors: np.ndarray, cols: np.ndarray, q_hat) -> np.ndarray:
         return np.where(den > 0.0, num / np.maximum(den, _EIG_FLOOR), np.inf)
 
 
-def _select_cells(pseudo: np.ndarray, q_hat: int, threshold: float | None) -> SpectralIndexSet:
-    L = len(pseudo)
+def _select_cells(pseudo: np.ndarray, q_hat, threshold) -> np.ndarray:
+    """Mask of the cells above threshold, or else of the q_hat largest (the
+    higher index first among equal values), along the last axis."""
     if threshold is not None:
-        chosen = np.nonzero(pseudo > threshold)[0]
-    elif q_hat == 0:
-        chosen = np.array([], dtype=int)
-    else:
-        chosen = np.sort(np.argsort(pseudo, kind="stable")[L - q_hat :])
-    return SpectralIndexSet(tuple(int(c) for c in chosen), L)
+        return pseudo > np.asarray(threshold)[..., np.newaxis]
+    rank = np.argsort(np.argsort(pseudo, axis=-1, kind="stable"), axis=-1)
+    return rank >= pseudo.shape[-1] - np.asarray(q_hat)[..., np.newaxis]
+
+
+def _cells(mask: np.ndarray) -> list[SpectralIndexSet]:
+    """The cells of each row of a (T, L) mask."""
+    return [SpectralIndexSet(tuple(np.flatnonzero(r).tolist()), len(r)) for r in mask]
 
 
 def music_localize(
@@ -281,12 +288,15 @@ def music_localize(
     q_hat is only approximate).
     """
     pseudo = _music_spectrum(eigs.vectors, A.entries, q_hat)
-    return _select_cells(pseudo, q_hat, threshold), pseudo
+    return _cells(_select_cells(pseudo, q_hat, threshold)[np.newaxis])[0], pseudo
 
 
-def _median_threshold(pseudo: np.ndarray, factor: float) -> float:
-    finite = pseudo[np.isfinite(pseudo)]
-    return factor * (float(np.median(finite)) if finite.size else 0.0)
+def _warn_at_caller(message: str) -> None:
+    """Warn at the code that called into this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 def nlls_localize(
@@ -299,49 +309,60 @@ def nlls_localize(
 
     Starting from the empty set, repeatedly add the cell minimizing
     Tr{(I - P_k) R} where P_k projects onto the span of the selected
-    measurement columns; ties break to the smallest cell index.  Stops after
-    q_max cells or once the residual drops to epsilon.  Returns the support
-    and the residual trace after 0..|k| selections (nonincreasing).
+    measurement columns.  Candidates within 1e-12 Tr R of the best go to the
+    smallest cell index; a column in the span of the selected ones reduces
+    nothing and is never picked.  Stops after q_max cells, once the residual
+    drops to epsilon or to roundoff (p*eps*Tr R), or when no column is left.
+    Returns the support and the (nonincreasing) residual trace after 0..|k|
+    selections.
     """
     if Rhat.p != A.pattern.p:
         raise ValueError("correlation size does not match measurement matrix")
-    return _nlls(Rhat.R, A, q_max, epsilon)
+    taken, trace = _greedy_ls(Rhat.R[np.newaxis], A.entries, np.array([q_max]), np.array([epsilon]))
+    return _cells(taken)[0], trace[0, : taken[0].sum() + 1]
 
 
-def _nlls(
-    R: np.ndarray, A: MeasurementMatrix, q_max: int, epsilon: float
-) -> tuple[SpectralIndexSet, np.ndarray]:
-    """nlls_localize on a correlation matrix already checked Hermitian PSD."""
-    p, L = A.entries.shape
-    if q_max >= p:
+def _greedy_ls(
+    R: np.ndarray, cols: np.ndarray, q_max: np.ndarray, epsilon: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """nlls_localize on a (T, p, p) stack of checked correlations with q_max
+    and epsilon per capture: the (T, L) mask of chosen cells and the residual
+    traces (row t valid up to mask[t].sum() + 1 entries).  Orthogonal
+    matching pursuit (Pati et al. 1993): U keeps each column's residual u
+    after projecting out the chosen columns, so column c would leave
+    res - Re(u^H R u) / |u|^2; the chosen u, normalized, is then projected
+    out of U (one Gram-Schmidt step)."""
+    T, p, _ = R.shape
+    if np.any(q_max >= p):
         raise ValueError("q_max must be smaller than p")
-    if p < 2 * q_max:
-        warnings.warn(
+    if np.any(p < 2 * q_max):
+        _warn_at_caller(
             "p < 2*q_max: greedy least squares may fail on coherent (rank-"
-            "deficient) cell contents",
-            stacklevel=3,
+            "deficient) cell contents"
         )
-    residuals = [float(np.trace(R).real)]
-    chosen: list[int] = []
-    if residuals[0] <= epsilon:
-        return SpectralIndexSet((), L), np.asarray(residuals)
-    cols = A.entries
-    while len(chosen) < q_max:
-        best_val, best_c = math.inf, -1
-        for c in range(L):
-            if c in chosen:
-                continue
-            sel = sorted(chosen + [c])
-            Ak = cols[:, sel]
-            proj = Ak @ np.linalg.pinv(Ak)
-            val = float(np.trace(R - proj @ R).real)
-            if val < best_val:
-                best_val, best_c = val, c
-        chosen = sorted(chosen + [best_c])
-        residuals.append(best_val)
-        if best_val <= epsilon:
-            break
-    return SpectralIndexSet(tuple(chosen), L), np.asarray(residuals)
+    total = np.trace(R, axis1=-2, axis2=-1).real
+    stop = np.maximum(epsilon, p * np.finfo(float).eps * total)
+    in_span = _SPAN_TOL * np.sum(np.abs(cols) ** 2, axis=0)
+    trace = np.zeros((T, int(q_max.max(initial=0)) + 1))
+    trace[:, 0] = total
+    taken = np.zeros((T, cols.shape[1]), dtype=bool)
+    U = np.repeat(cols[np.newaxis], T, axis=0)
+    rows = np.arange(T)
+    active = total > stop
+    for s in range(trace.shape[1] - 1):
+        energy = np.sum(np.abs(U) ** 2, axis=-2)
+        gain = np.sum((U.conj() * (R @ U)).real, axis=-2)
+        usable = ~taken & (energy > in_span)
+        score = np.where(usable, trace[:, s : s + 1] - gain / np.where(usable, energy, 1.0), np.inf)
+        best = score.min(axis=-1)
+        active &= (s < q_max) & np.isfinite(best)
+        pick = np.argmax(score <= (best + 1e-12 * total)[:, np.newaxis], axis=-1)
+        q = U[rows, :, pick] / np.where(active, np.sqrt(energy[rows, pick]), np.inf)[:, np.newaxis]
+        U -= q[:, :, np.newaxis] * (q.conj()[:, np.newaxis, :] @ U)
+        taken[rows[active], pick[active]] = True
+        trace[:, s + 1] = best
+        active &= best > stop
+    return taken, trace
 
 
 def _independent_fraction(filt: InterpolationFilter) -> float:
@@ -397,29 +418,27 @@ def estimate_support_batch(
     q_max: int | None = None,
     n_taps: int | None = None,
     select: str = "top",
-    threshold_factor: float = 10.0,
     epsilon_rel: float = 0.01,
-    eft_threshold: float = 0.5,
 ) -> list[BlindReport]:
     """Full blind chain for each capture of a stack: filter, correlate,
     select order, localize cells.
 
     streams.samples is a (T, p, length/L) stack of captures under one
     pattern; the result holds one report per capture, each computed from
-    that capture alone.  The filter is designed once and each stage runs
-    once over the stack, except EFT order selection and least squares,
-    which loop over the captures.
+    that capture alone.  The filter is designed once and every stage (order
+    selection by AIC, MDL or EFT, localization by MUSIC or least squares)
+    runs once over the whole stack.
 
     The detection filter keeps its transition inside the cell with a deep
     stopband, so content hugging a cell boundary cannot register in the
     neighboring cell; correlation uses one transient-free snapshot every L
     base samples, and only those filter outputs are computed.  Those
     snapshots are correlated, so AIC and MDL score them as the equivalent
-    number of independent snapshots (report.snapshots keeps the count).  MUSIC
-    selection takes the q_hat largest pseudo-spectrum values ("top") or
-    everything above threshold_factor times the median ("threshold"); the
-    least-squares route stops at q_hat cells or when the residual falls
-    below epsilon_rel times the total power.
+    number of independent snapshots (report.snapshots keeps the count).  EFT
+    ignores q_min.  MUSIC selection takes the q_hat largest pseudo-spectrum
+    values ("top") or everything above ten times the median of the finite
+    values ("threshold"); the least-squares route stops at max(q_hat, 1)
+    cells or when the residual falls below epsilon_rel times the total power.
     """
     if order_method not in ("aic", "mdl", "eft"):
         raise ValueError("order_method must be 'aic', 'mdl', or 'eft'")
@@ -449,36 +468,35 @@ def estimate_support_batch(
     _check_correlation(R, vals)
     _check_descending(vals)
     if order_method == "eft":
-        orders = [eft_order(v, M_corr, p, threshold=eft_threshold, q_max=q_max) for v in vals]
+        q_hats, criteria = _eft_orders(vals, p, _EFT_THRESHOLD, q_max)
     else:
         M_ind = M_corr * _independent_fraction(filt)
-        scores = _itc_scores(vals, M_ind, p, q_min, q_max, mdl=order_method == "mdl")
-        q_hats = q_min + np.argmin(scores, axis=-1)
-        orders = [OrderEstimate(int(q), s, order_method.upper()) for q, s in zip(q_hats, scores)]
+        criteria = _itc_scores(vals, M_ind, p, q_min, q_max, mdl=order_method == "mdl")
+        q_hats = q_min + np.argmin(criteria, axis=-1)
     A = build_measurement_matrix(pattern)
+    pseudo = traces = [None] * len(R)
     if localize_method == "music":
-        pseudo = _music_spectrum(vecs, A.entries, [o.q_hat for o in orders])
-    reports = []
-    for t, order in enumerate(orders):
-        if localize_method == "music":
-            threshold = None
-            if select == "threshold":
-                threshold = _median_threshold(pseudo[t], threshold_factor)
-            k_hat = _select_cells(pseudo[t], order.q_hat, threshold)
-            found = {"pseudo_spectrum": pseudo[t]}
-        else:
-            epsilon = epsilon_rel * float(np.trace(R[t]).real)
-            k_hat, residuals = _nlls(R[t], A, max(order.q_hat, 1), epsilon)
-            found = {"ls_trace": residuals}
-        reports.append(
-            BlindReport(
-                q_hat=order.q_hat,
-                k_hat=k_hat,
-                order=order,
-                eigs=EigenSpectrum(vals[t], vecs[t]),
-                snapshots=M_corr,
-                filter_meets_spec=filt.meets_spec,
-                **found,
-            )
+        pseudo = _music_spectrum(vecs, A.entries, q_hats)
+        threshold = None
+        if select == "threshold":
+            # the columns span C^p, so some cell of each spectrum is finite
+            finite = np.where(np.isfinite(pseudo), pseudo, np.nan)
+            threshold = _MUSIC_THRESHOLD_FACTOR * np.nanmedian(finite, axis=-1)
+        chosen = _select_cells(pseudo, q_hats, threshold)
+    else:
+        total = np.trace(R, axis1=-2, axis2=-1).real
+        chosen, trace = _greedy_ls(R, A.entries, np.maximum(q_hats, 1), epsilon_rel * total)
+        traces = [row[: n + 1] for row, n in zip(trace, chosen.sum(axis=-1))]
+    return [
+        BlindReport(
+            q_hat=q,
+            k_hat=k_hat,
+            order=OrderEstimate(q, criteria[t], order_method.upper()),
+            eigs=EigenSpectrum(vals[t], vecs[t]),
+            snapshots=M_corr,
+            filter_meets_spec=filt.meets_spec,
+            pseudo_spectrum=pseudo[t],
+            ls_trace=traces[t],
         )
-    return reports
+        for t, (q, k_hat) in enumerate(zip(q_hats.tolist(), _cells(chosen)))
+    ]

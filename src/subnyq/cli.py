@@ -29,7 +29,7 @@ from .reconstruct import (
     reconstruct_time,
     spectral_index_from_support,
 )
-from .sampling import SamplingPattern, SpectralIndexSet, coset_decompose
+from .sampling import SamplingPattern, SpectralIndexSet, coset_decompose, streams_from_csv
 from .sensing import SensingConfig, pd_sweep, sense
 from .signals import (
     MultibandSignalSpec,
@@ -140,8 +140,9 @@ SCHEMAS: dict[str, dict] = {
     },
 }
 
-for _schema in SCHEMAS.values():
-    _schema["plot_out"] = {"type": "path", "required": False, "default": None}
+# the commands that write a plot-ready CSV
+for _command in ("synth", "cond-hist", "reconstruct", "blind", "pd-sweep"):
+    SCHEMAS[_command]["plot_out"] = {"type": "path", "required": False, "default": None}
 
 # commands that may not run without an explicit seed
 _ALWAYS_STOCHASTIC = {"cond-hist", "pd-sweep"}
@@ -416,8 +417,6 @@ def _cmd_reconstruct(cfg: dict) -> None:
 
 
 def _cmd_blind(cfg: dict) -> None:
-    from .sampling import streams_from_csv
-
     pattern = _load_pattern(cfg["pattern"])
     if cfg["streams"] is not None:
         streams = streams_from_csv(Path(cfg["streams"]).read_text(), pattern)

@@ -10,7 +10,7 @@ probability against SNR and compression ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class SensingConfig:
     pattern: SamplingPattern | str = "auto"
     p: int | None = None
     seed: int = 0
-    n_taps: int | None = None
-    select: str = "threshold"  # music cell selection: "threshold" or "top"
-    music_threshold_factor: float = 10.0
-    nlls_epsilon_rel: float = 0.01
 
     def __post_init__(self):
         if self.f_max <= 0 or self.B <= 0:
@@ -77,8 +73,6 @@ class SensingConfig:
             raise ValueError(f"order_method must be one of {_ORDER_METHODS}")
         if self.localize_method not in _LOCALIZE_METHODS:
             raise ValueError(f"localize_method must be one of {_LOCALIZE_METHODS}")
-        if self.select not in ("threshold", "top"):
-            raise ValueError("select must be 'threshold' or 'top'")
 
     @property
     def L(self) -> int:
@@ -165,30 +159,26 @@ def plan_sensing(cfg: SensingConfig) -> SensingPlan:
     )
 
 
-def _blind_options(cfg: SensingConfig) -> dict:
-    return dict(
-        order_method=cfg.order_method,
-        localize_method=cfg.localize_method,
-        n_taps=cfg.n_taps,
-        select=cfg.select,
-        threshold_factor=cfg.music_threshold_factor,
-        epsilon_rel=cfg.nlls_epsilon_rel,
-    )
-
-
 def sense(cfg: SensingConfig, x: TimeSeries) -> SensingReport:
     """Blind occupancy detection: occupied channels and the free complement.
 
     The input must be sampled at the base rate 1/f_max.  Free channels are
     reported as intervals [i*B, (i+1)*B) for every index i outside the
-    occupied set.  Diagnostics carry the eigenvalues, the conditioning of the
-    reduced system on the detected cells, and degradation flags.
+    occupied set.  MUSIC marks every channel whose pseudo-spectrum value is
+    above ten times the median as occupied.  Diagnostics carry the
+    eigenvalues, the conditioning of the reduced system on the detected
+    cells, and degradation flags.
     """
     if abs(x.T - 1.0 / cfg.f_max) > 1e-9 * x.T:
         raise ValueError(f"series period {x.T} is not 1/f_max = {1.0 / cfg.f_max}")
     plan = plan_sensing(cfg)
     streams = coset_decompose(x, plan.pattern)
-    report = blind.estimate_support(streams, **_blind_options(cfg))
+    report = blind.estimate_support(
+        streams,
+        order_method=cfg.order_method,
+        localize_method=cfg.localize_method,
+        select="threshold",
+    )
     k_hat, q_hat = report.k_hat, report.q_hat
     A = build_measurement_matrix(plan.pattern)
     cond = condition_number(reduce_matrix(A, k_hat)) if k_hat.q else 1.0
@@ -248,7 +238,6 @@ def pd_sweep(
     seed: int,
     n_blocks: int = 100,
     metric: str = "exact",
-    select: str = "top",
 ) -> PdResult:
     """Detection probability of a single tone in a random channel.
 
@@ -257,7 +246,7 @@ def pd_sweep(
     a detection requires the occupied set to equal the true channel exactly
     (metric="exact") or to contain it within the estimated order
     (metric="contains").  Each compression ratio must give an integer coset
-    count p = cr*L >= 2.  Cell selection defaults to the top-q form, which
+    count p = cr*L >= 2.  Cells are selected in the top-q form, which
     remains meaningful at p = 2 where threshold selection cannot isolate a
     single wide peak.  Per-trial RNG streams derive from (seed, point,
     trial), and all trials of one compression ratio run as one batch of
@@ -279,7 +268,6 @@ def pd_sweep(
         pat = _auto_pattern(L, p, cfg_template.f_max, cfg_template.seed + p)
         patterns.append((float(cr), pat))
     snrs = [float(s) for s in snr_db_list]
-    options = _blind_options(replace(cfg_template, select=select))
     rows: list[PdPoint] = []
     for i_cr, (cr, pat) in enumerate(patterns):
         stack = np.empty((len(snrs) * trials, pat.p, n_blocks), dtype=np.complex128)
@@ -289,7 +277,11 @@ def pd_sweep(
                 key = [seed, i_cr, i_snr, t]
                 channel, stack[i_snr * trials + t] = _coset_trial(pat, n_blocks, snr_db, key)
                 channels.append(channel)
-        reports = blind.estimate_support_batch(CosetStreams(stack, pat), **options)
+        reports = blind.estimate_support_batch(
+            CosetStreams(stack, pat),
+            order_method=cfg_template.order_method,
+            localize_method=cfg_template.localize_method,
+        )
         hits = [_detected(r, c, metric) for r, c in zip(reports, channels)]
         for i_snr, snr_db in enumerate(snrs):
             det = sum(hits[i_snr * trials : (i_snr + 1) * trials])

@@ -211,42 +211,32 @@ def occupancy(F: SpectralSupport) -> float:
     return lebesgue_measure(F) / F.f_max
 
 
-def _shift_overlaps(bands, theta: float) -> bool:
-    # any band shifted up by theta intersecting any band (half-open intervals)
-    for a, b in bands:
-        for a2, b2 in bands:
-            if a + theta < b2 and a2 < b + theta:
-                return True
-    return False
+def nyquist_rate(F: SpectralSupport) -> float:
+    """Smallest alias-free uniform rate for support F, exact for its band
+    edges; at least the occupied measure lambda (Landau 1967).
 
-
-def nyquist_rate(F: SpectralSupport, theta_grid: float | None = None) -> float:
-    """Smallest alias-free uniform rate for support F, found by grid search.
-
-    Scans candidate rates theta from the occupied measure up to f_max in
-    steps of theta_grid (default f_max/1e4) and returns the first theta for
-    which no nonzero integer translate of F intersects F.  f_max itself is
-    always feasible, so the search cannot fail.  The result is the smallest
-    feasible grid point; the true infimum may fall between grid points.
+    Rate theta aliases exactly when it lies strictly inside some interval
+    ((a_j - b_i)/n, (b_j - a_i)/n), n >= 1, where shifting band i by n*theta
+    overlaps band j.  So the answer is lambda or such a right endpoint, and
+    f_max never aliases: from lambda the scan jumps to the largest right
+    endpoint of the intervals holding the current rate until none does,
+    comparing endpoints with the expression that produced them.
     """
     if not F.bands:
         raise ValueError("nyquist_rate requires a nonempty support")
-    if theta_grid is None:
-        theta_grid = F.f_max / 1e4
-    if theta_grid <= 0:
-        raise ValueError("theta_grid must be positive")
-    lam = lebesgue_measure(F)
-    bands = F.bands
-
-    def feasible(theta: float) -> bool:
-        n_max = math.ceil(F.f_max / theta)
-        return not any(_shift_overlaps(bands, n * theta) for n in range(1, n_max + 1))
-
-    theta = lam
+    a, b = np.asarray(F.bands).T
+    i, j = np.triu_indices(len(a), 1)
+    lo, hi = a[j] - b[i], b[j] - a[i]
+    theta = lebesgue_measure(F)
     while theta < F.f_max:
-        if feasible(theta):
+        # a pair's interval of length w_i + w_j <= lambda <= theta holds at
+        # most one multiple of theta; the neighbors absorb rounding in lo/theta
+        n = np.maximum(np.floor(lo / theta) + np.arange(3)[:, np.newaxis], 1.0)
+        right = hi / n
+        inside = (lo / n < theta) & (theta < right)
+        if not inside.any():
             return float(theta)
-        theta += theta_grid
+        theta = float(right[inside].max())
     return float(F.f_max)
 
 

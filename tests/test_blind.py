@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -290,8 +291,159 @@ class TestNlls:
     def test_warns_when_p_too_small_for_coherent(self):
         L, C, k = 16, (0, 2, 5, 9, 11), (3, 8)
         Rhat, _, A = snapshot_instance(L, C, k, 1.0, 1e-3, 3000, seed=13, coherent=True)
-        with pytest.warns(UserWarning, match="coherent"):
+        with pytest.warns(UserWarning, match="coherent") as record:
             nlls_localize(Rhat, A, q_max=4)
+        assert [w.filename for w in record] == [__file__]  # the caller
+
+
+def pinv_greedy(R, cols, q_max, epsilon=0.0):
+    """Reference greedy: one pseudo-inverse per candidate and step."""
+    L = cols.shape[1]
+    residuals = [float(np.trace(R).real)]
+    chosen = []
+    if residuals[0] <= epsilon:
+        return (), np.asarray(residuals)
+    while len(chosen) < q_max:
+        best_val, best_c = math.inf, -1
+        for c in range(L):
+            if c in chosen:
+                continue
+            Ak = cols[:, sorted(chosen + [c])]
+            val = float(np.trace(R - Ak @ np.linalg.pinv(Ak) @ R).real)
+            if val < best_val:
+                best_val, best_c = val, c
+        chosen = sorted(chosen + [best_c])
+        residuals.append(best_val)
+        if best_val <= epsilon:
+            break
+    return tuple(chosen), np.asarray(residuals)
+
+
+def ls_residual(R, Ak):
+    """Tr{(I - P) R} for P the projection onto the columns of Ak, by lstsq
+    on a square root of R."""
+    w, V = np.linalg.eigh(R)
+    H = V * np.sqrt(np.maximum(w, 0.0))
+    sol = np.linalg.lstsq(Ak, H, rcond=None)[0]
+    return float(np.linalg.norm(H - Ak @ sol) ** 2)
+
+
+def in_span(Ak, a):
+    """a keeps at most 1e-10 of its energy outside the column span of Ak."""
+    if Ak.shape[1] == 0:
+        return False
+    sol = np.linalg.lstsq(Ak, a, rcond=None)[0]
+    return np.linalg.norm(a - Ak @ sol) ** 2 <= 1e-10 * np.linalg.norm(a) ** 2
+
+
+def greedy_picks(Rhat, A, q_max):
+    """The greedy's picks in order: the support grows by one cell per step."""
+    order = []
+    for s in range(1, q_max + 1):
+        k, _ = nlls_localize(Rhat, A, s)
+        order += [c for c in k.k if c not in order]
+        if len(order) < s:
+            break
+    return order
+
+
+@pytest.fixture(scope="module")
+def random_greedy_cases():
+    """500 random patterns, supports, noise levels and q_max (L <= 32, p <= 8)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(500):
+        L = int(rng.integers(4, 33))
+        p = int(rng.integers(2, min(L, 8) + 1))
+        C = tuple(sorted(rng.choice(L, size=p, replace=False).tolist()))
+        A = build_measurement_matrix(SamplingPattern(L, C, 1.0))
+        q = int(rng.integers(1, p + 1))
+        Z = (rng.standard_normal((q, 200)) + 1j * rng.standard_normal((q, 200))) / np.sqrt(2)
+        sigma = 10.0 ** rng.uniform(-3.0, 0.0) * np.linalg.norm(A.entries[:, 0])
+        noise = rng.standard_normal((p, 200)) + 1j * rng.standard_normal((p, 200))
+        Y = A.entries[:, rng.choice(L, size=q, replace=False)] @ Z + sigma * noise
+        cases.append((sample_correlation(Y), A, int(rng.integers(1, p))))
+    return cases
+
+
+class TestGreedyProjectionUpdate:
+    """The greedy keeps each column's residual after projecting out the chosen
+    columns instead of taking a pseudo-inverse per candidate."""
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # p < 2*q_max
+            yield
+
+    def test_column_in_span_is_never_picked(self):
+        # the pseudo-inverse greedy returned (6, 10, 22, 26) here: its cutoff
+        # kept the direction of a column lying in the span of the other three
+        # (sigma_min / sigma_max = 1.3e-15)
+        A = build_measurement_matrix(SamplingPattern(28, (1, 2, 7, 21, 22), 1.0))
+        rng = np.random.default_rng(124)
+        z = (rng.standard_normal(400) + 1j * rng.standard_normal(400)) / np.sqrt(2)
+        Y = np.outer(A.entries[:, 26], z) + 0.1 * (
+            rng.standard_normal((5, 400)) + 1j * rng.standard_normal((5, 400))
+        )
+        Rhat = sample_correlation(Y)
+        k, trace = nlls_localize(Rhat, A, 4)
+        assert 26 in k.k and k.q == 4
+        sv = np.linalg.svd(A.entries[:, list(k.k)], compute_uv=False)
+        assert sv[-1] > 1e-3 * sv[0]
+        assert trace[-1] == pytest.approx(ls_residual(Rhat.R, A.entries[:, list(k.k)]), rel=1e-9)
+
+    def test_each_step_is_the_best_least_squares_step(self, random_greedy_cases):
+        for n, (Rhat, A, q_max) in enumerate(random_greedy_cases):
+            tol = 1e-9 * np.trace(Rhat.R).real
+            chosen = []
+            for c in greedy_picks(Rhat, A, q_max):
+                cols = A.entries[:, chosen]
+                assert not in_span(cols, A.entries[:, c]), f"case {n}: {chosen} + {c}"
+                best = min(
+                    ls_residual(Rhat.R, A.entries[:, chosen + [d]])
+                    for d in range(A.pattern.L)
+                    if d not in chosen and not in_span(cols, A.entries[:, d])
+                )
+                chosen.append(c)
+                assert ls_residual(Rhat.R, A.entries[:, chosen]) <= best + tol, f"case {n}"
+
+    def test_same_supports_as_the_pseudo_inverse_greedy(self, random_greedy_cases):
+        for n, (Rhat, A, q_max) in enumerate(random_greedy_cases):
+            k, trace = nlls_localize(Rhat, A, q_max)
+            ref_k, ref_trace = pinv_greedy(Rhat.R, A.entries, q_max)
+            if k.k == ref_k:
+                np.testing.assert_allclose(trace, ref_trace, rtol=0, atol=1e-9 * trace[0])
+                continue
+            ref = A.entries[:, list(ref_k)]
+            sv = np.linalg.svd(ref, compute_uv=False)
+            if sv[-1] <= 1e-10 * sv[0]:
+                continue  # the reference picked a column in the span
+            # a tie: parallel columns span the same subspace
+            got = A.entries[:, list(k.k)]
+            P = got @ np.linalg.pinv(got)
+            assert np.abs(P - ref @ np.linalg.pinv(ref)).max() <= 1e-9, f"case {n}"
+
+    def test_duplicate_columns_tie_to_the_smallest_index(self):
+        # even offsets make cells k and k + 4 share one column
+        A = build_measurement_matrix(SamplingPattern(8, (0, 2, 4, 6), 1.0))
+        assert np.allclose(A.entries[:, 1], A.entries[:, 5])
+        rng = np.random.default_rng(40)
+        Y = np.outer(A.entries[:, 5], rng.standard_normal(300)) + 0.01 * (
+            rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
+        )
+        k, trace = nlls_localize(sample_correlation(Y), A, 3)
+        assert 1 in k.k  # the tone sits in cell 5
+        assert all(c < 4 for c in k.k)  # of cells c and c + 4, always c
+        assert np.all(np.isfinite(trace))
+
+    def test_noiseless_stops_at_the_true_support(self):
+        # the residual on the true support is roundoff (2.8e-16 relative);
+        # the pseudo-inverse greedy went on to add cell 12
+        Rhat, _, A = snapshot_instance(16, (0, 3, 7, 8, 9, 11), (5, 15), 1.0, 0.0, 500, seed=0)
+        k, trace = nlls_localize(Rhat, A, q_max=5, epsilon=0.0)
+        assert k.k == (5, 15)
+        assert trace[-1] <= 6 * np.finfo(float).eps * trace[0]
 
 
 class TestEstimateSupport:
@@ -305,11 +457,19 @@ class TestEstimateSupport:
 
     def test_blind_chain_nlls(self, blind_scenario):
         streams, _ = blind_scenario
-        with pytest.warns(UserWarning, match="coherent"):
+        with pytest.warns(UserWarning, match="coherent") as record:
             rep = estimate_support(streams, order_method="mdl", localize_method="nlls")
+        assert [w.filename for w in record] == [__file__]  # the caller, once
         assert rep.k_hat.k == (4, 5, 11, 16, 17)
         assert rep.ls_trace is not None
         assert np.all(np.diff(rep.ls_trace) <= 0)
+
+    def test_coherence_warning_once_per_batch(self, blind_scenario):
+        streams, _ = blind_scenario
+        stack = CosetStreams(np.stack([streams.samples] * 3), streams.pattern)
+        with pytest.warns(UserWarning, match="coherent") as record:
+            estimate_support_batch(stack, localize_method="nlls")
+        assert [w.filename for w in record] == [__file__]
 
     def test_reconstruction_from_blind_support(self, blind_scenario):
         from subnyq import design_filter, reconstruct_time

@@ -203,6 +203,19 @@ def test_sense_command(tmp_path):
     assert payload["diagnostics"]["filter_meets_spec"] is True
 
 
+@pytest.mark.parametrize("command", ["sense", "pattern"])
+def test_plot_out_rejected_where_no_plot_is_written(tmp_path, capsys, command):
+    plot = tmp_path / "f"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "o.json"), "--plot-out", str(plot)])
+    assert exc.value.code == 2
+    assert "--plot-out" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"plot_out": str(plot)}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 2
+    assert not plot.exists()
+
+
 def test_pd_sweep_command_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     args = ["pd-sweep", "--snr", "10,30", "--cr", "0.2", "--trials", "6",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,27 @@ from subnyq.signals import timeseries_from_csv, timeseries_to_csv
 from conftest import rasterized_alias_free
 
 F12 = SpectralSupport(((0.5, 2.0), (4.0, 5.0), (8.0, 8.5)), 12.0)
+
+
+def grid_nyquist_rate(F, step):
+    """The first alias-free rate on the grid lambda, lambda + step, ...: a
+    rate is alias-free when no shift of F by n*rate, 1 <= n <= ceil(f_max /
+    rate), overlaps F (half-open bands); f_max when no grid point below it is."""
+
+    def feasible(theta):
+        for n in range(1, math.ceil(F.f_max / theta) + 1):
+            for a, b in F.bands:
+                for a2, b2 in F.bands:
+                    if a + n * theta < b2 and a2 < b + n * theta:
+                        return False
+        return True
+
+    theta = lebesgue_measure(F)
+    while theta < F.f_max:
+        if feasible(theta):
+            return theta
+        theta += step
+    return F.f_max
 
 
 def disjoint_supports(max_bands=4):
@@ -106,17 +129,18 @@ class TestNyquistRate:
     def test_single_baseband_interval(self):
         # shifted copies of [0,1) by multiples of 1 never overlap it
         F = SpectralSupport(((0.0, 1.0),), 4.0)
-        assert nyquist_rate(F, theta_grid=0.001) == pytest.approx(1.0)
+        assert nyquist_rate(F) == pytest.approx(1.0)
 
     def test_full_band(self):
         F = SpectralSupport(((0.0, 6.0),), 6.0)
         assert nyquist_rate(F) == pytest.approx(6.0)
 
     def test_three_band_smallest_feasible_point(self):
-        # smallest alias-free grid point for this support: blocking intervals
-        # end at 4.5 (frozen from the rasterized oracle below)
-        rate = nyquist_rate(F12, theta_grid=0.001)
+        # smallest alias-free rate for this support: blocking intervals end
+        # at 4.5 (frozen from the rasterized oracle below)
+        rate = nyquist_rate(F12)
         assert rate == pytest.approx(4.5, abs=1.1e-3)
+        assert rate == 4.5  # (b_j - a_i)/n = (8.5 - 4.0)/1 exactly
         assert rasterized_alias_free(F12.bands, F12.f_max, rate)
         assert not rasterized_alias_free(F12.bands, F12.f_max, rate - 0.002)
 
@@ -129,9 +153,18 @@ class TestNyquistRate:
     def test_bounds_and_feasibility(self, F):
         if not F.bands:
             return
-        rate = nyquist_rate(F, theta_grid=F.f_max / 2000)
+        rate = nyquist_rate(F)
         lam = lebesgue_measure(F)
         assert lam - 1e-9 <= rate <= F.f_max + 1e-9
+        assert rasterized_alias_free(F.bands, F.f_max, rate, n_cells=20000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(disjoint_supports(max_bands=3))
+    def test_never_above_a_fine_grid_scan(self, F):
+        if not F.bands:
+            return
+        rate = nyquist_rate(F)
+        assert rate <= grid_nyquist_rate(F, F.f_max / 1e4)
         assert rasterized_alias_free(F.bands, F.f_max, rate, n_cells=20000)
 
 
