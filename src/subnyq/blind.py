@@ -434,8 +434,10 @@ def estimate_support_batch(
     neighboring cell; correlation uses one transient-free snapshot every L
     base samples, and only those filter outputs are computed.  Those
     snapshots are correlated, so AIC and MDL score them as the equivalent
-    number of independent snapshots (report.snapshots keeps the count).  EFT
-    ignores q_min.  MUSIC selection takes the q_hat largest pseudo-spectrum
+    number of independent snapshots (report.snapshots keeps the count).
+    Every order method keeps q_hat in [q_min, q_max]: AIC and MDL search
+    only that range, and the EFT count is clamped into it.  The pattern needs
+    p >= 2 cosets.  MUSIC selection takes the q_hat largest pseudo-spectrum
     values ("top") or everything above ten times the median of the finite
     values ("threshold"); the least-squares route stops at max(q_hat, 1)
     cells or when the residual falls below epsilon_rel times the total power.
@@ -450,8 +452,15 @@ def estimate_support_batch(
         raise ValueError("expected a stack of captures: samples of shape (T, p, length/L)")
     pattern = streams.pattern
     L, p = pattern.L, pattern.p
+    if p < 2:
+        raise ValueError(
+            f"blind detection needs p >= 2 cosets (got p={p}): with one, every "
+            "cell has the same measurement column up to phase"
+        )
     if q_max is None:
         q_max = p - 1
+    if not 0 <= q_min <= q_max < p:
+        raise ValueError("need 0 <= q_min <= q_max < p")
     if n_taps is None:
         n_taps = 32 * L + 1
         cap = max(4 * L + 1, streams.length // 4)
@@ -469,6 +478,7 @@ def estimate_support_batch(
     _check_descending(vals)
     if order_method == "eft":
         q_hats, criteria = _eft_orders(vals, p, _EFT_THRESHOLD, q_max)
+        q_hats = np.maximum(q_hats, q_min)
     else:
         M_ind = M_corr * _independent_fraction(filt)
         criteria = _itc_scores(vals, M_ind, p, q_min, q_max, mdl=order_method == "mdl")

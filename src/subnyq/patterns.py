@@ -5,6 +5,14 @@ noise amplification through its condition number, so pattern search minimizes
 cond over candidate offset sets: exhaustively for small problems, greedily
 (sequential forward selection) otherwise, and from a randomized candidate
 support when the true support is unknown.
+
+Both searches score a stack of candidates in two passes.  A screen takes cond
+from the eigenvalues of each candidate's row Gram, gathered from one table of
+offset differences; the exact SVD then runs only on the candidates the
+screen puts within roundoff of the best, and decides among them.  A stack
+whose best screened cond is past what the screen's error bound trusts
+(about 1e3) goes to the SVD whole.  The pick and the reported cond are those
+of an SVD over every candidate.
 """
 
 from __future__ import annotations
@@ -34,6 +42,16 @@ __all__ = [
 
 # relative singular-value floor below which a matrix counts as rank-deficient
 RANK_RTOL = 1e-12
+# Each difference-table entry sums q unit phases whose exponents are reduced
+# mod L first, so it is exact to about 15*q*eps whatever L is.  The Gram's
+# lmax is at least q (its diagonal), so the gather and eigvalsh move every
+# eigenvalue by about 15*r*eps*lmax, and a screen cond by a relative
+# _SCREEN_ERR * r * cond**2 (3.5e-8 at r = 20, cond = 1e3).  The shortlist
+# margin _SCREEN_RTOL holds the SVD's argmin while it exceeds twice that
+# error; a step whose best screen cond leaves less than a tenfold safety on
+# that (cond about 1e3 at r = 30) goes to the SVD whole.
+_SCREEN_RTOL = 1e-6
+_SCREEN_ERR = 8 * np.finfo(float).eps
 
 
 class SearchBudgetError(RuntimeError):
@@ -76,6 +94,39 @@ def _cond_stack(mats: np.ndarray) -> np.ndarray:
     return np.where(s[..., 0] == 0.0, np.inf, out)
 
 
+def _difference_table(L: int, karr: np.ndarray) -> np.ndarray:
+    """D[m] = sum_k exp(2*pi*i*m*k/L): the row-Gram entry (A A^H)[a, b] of
+    offsets with c_a - c_b = m (mod L)."""
+    return np.exp(2j * np.pi * (np.outer(np.arange(L), karr) % L) / L).sum(axis=1)
+
+
+def _argmin_cond(
+    L: int, trials: np.ndarray, karr: np.ndarray, table: np.ndarray
+) -> tuple[int, float]:
+    """Index and cond of the first best-conditioned row of trials (n, r).
+
+    Equal to the argmin of _cond_stack over every row: the Gram screen
+    (table from _difference_table) shortlists the rows within _SCREEN_RTOL of
+    its best, and the SVD decides among them in row order.  The SVD scores
+    every row when the screen's best is past the level its error bound
+    trusts (the comment at _SCREEN_RTOL).
+    """
+    r = trials.shape[1]
+    gram = table[(trials[:, :, np.newaxis] - trials[:, np.newaxis, :]) % L]
+    ev = np.linalg.eigvalsh(gram)
+    # sigma_min^2 is the min(r, q)-th largest eigenvalue; the rest are zero
+    lmin, lmax = ev[:, r - min(r, len(karr))], ev[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        screen = np.where(lmin > 0.0, np.sqrt(lmax / lmin), np.inf)
+    best = screen.min()
+    rows = np.arange(len(trials))
+    if best < math.sqrt(_SCREEN_RTOL / (20 * _SCREEN_ERR * r)):
+        rows = np.flatnonzero(screen <= best * (1.0 + _SCREEN_RTOL))
+    conds = _cond_stack(_phase_matrix(L, trials[rows], karr))
+    i = int(np.argmin(conds))
+    return int(rows[i]), float(conds[i])
+
+
 def _chunks(it: Iterable, size: int):
     it = iter(it)
     while True:
@@ -104,16 +155,15 @@ def exhaustive_pattern_search(
             "use sfs_pattern_search instead"
         )
     karr = np.asarray(k.k)
+    table = _difference_table(L, karr)
     best_cond = math.inf
     best_C: tuple[int, ...] | None = None
     # combinations() is lexicographic, so keeping strict improvements preserves
     # the smallest-C tie-break under chunked evaluation
     for block in _chunks(combinations(range(L), p), 4096):
-        mats = _phase_matrix(L, np.asarray(block), karr)
-        conds = _cond_stack(mats)
-        i = int(np.argmin(conds))
-        if conds[i] < best_cond:
-            best_cond = float(conds[i])
+        i, cond = _argmin_cond(L, np.asarray(block), karr, table)
+        if cond < best_cond:
+            best_cond = cond
             best_C = block[i]
     assert best_C is not None
     return PatternSearchResult(
@@ -127,25 +177,29 @@ def sfs_pattern_search(
     """Greedy forward selection of offsets minimizing cond at each step.
 
     Starts from the empty set and adds, p times, the offset whose addition
-    gives the smallest condition number on the columns k; ties resolve to the
-    smallest offset.  Costs p*L - p*(p-1)/2 evaluations.
+    gives the smallest condition number on the columns k.  Candidates whose
+    SVD conds are exactly equal resolve to the smallest offset; near ties at
+    roundoff are decided by the SVD's roundoff.  Costs p*L - p*(p-1)/2
+    evaluations; the Gram screen (module docstring) sends only the near-best
+    few of each step to the SVD.
     """
     if p > L:
         raise ValueError("p must not exceed L")
     karr = np.asarray(k.k)
-    chosen: list[int] = []
+    table = _difference_table(L, karr)
+    cands = np.arange(L)
+    chosen = np.zeros(0, dtype=int)
     evaluations = 0
     final_cond = math.inf
     for _ in range(p):
-        cands = [c for c in range(L) if c not in chosen]
-        trial = np.asarray([sorted(chosen + [c]) for c in cands])
-        conds = _cond_stack(_phase_matrix(L, trial, karr))
+        rest = np.repeat(chosen[np.newaxis], len(cands), axis=0)
+        trial = np.sort(np.concatenate((rest, cands[:, np.newaxis]), axis=1), axis=1)
+        # the first of exactly equal conds is the smallest offset
+        i, final_cond = _argmin_cond(L, trial, karr, table)
         evaluations += len(cands)
-        i = int(np.argmin(conds))  # argmin takes the first = smallest offset
-        chosen = sorted(chosen + [cands[i]])
-        final_cond = float(conds[i])
+        chosen, cands = trial[i], cands[cands != cands[i]]
     return PatternSearchResult(
-        SamplingPattern(L, tuple(chosen), T), final_cond, evaluations, design_k=k
+        SamplingPattern(L, tuple(chosen.tolist()), T), final_cond, evaluations, design_k=k
     )
 
 

@@ -510,6 +510,28 @@ class TestDegenerateOrder:
         assert rep.q_hat == 0
         assert rep.k_hat.k == ()
 
+    @pytest.mark.parametrize("order", ["aic", "mdl", "eft"])
+    def test_q_min_floors_every_order(self, order):
+        # EFT counted 0 here whatever q_min was
+        x = TimeSeries(np.zeros(4096, dtype=complex), 1.0)
+        rep = estimate_support(coset_decompose(x, PATTERN16), order_method=order, q_min=2)
+        assert rep.q_hat == 2
+
+    @pytest.mark.parametrize("order", ["aic", "mdl", "eft"])
+    def test_order_range_validated(self, order):
+        x = TimeSeries(np.zeros(4096, dtype=complex), 1.0)
+        streams = coset_decompose(x, PATTERN16)
+        for q_min, q_max in ((3, 2), (-1, 2), (0, 5)):
+            with pytest.raises(ValueError, match="q_min <= q_max < p"):
+                estimate_support(streams, order_method=order, q_min=q_min, q_max=q_max)
+
+    def test_one_coset_rejected(self):
+        # with p = 1 every column is the same up to phase: q_hat was 0 for any input
+        x = TimeSeries(np.exp(2j * np.pi * 0.3 * np.arange(4096)), 1.0)
+        streams = coset_decompose(x, SamplingPattern(16, (3,), 1.0))
+        with pytest.raises(ValueError, match="p >= 2"):
+            estimate_support(streams)
+
     def test_roundoff_tail_on_eigenvalues(self):
         vals = np.array([2e-2, 1.75e-18, 5e-19, -9.6e-19, -1.7e-18])
         assert aic_order(vals, 240, 5).q_hat == 1

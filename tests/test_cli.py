@@ -145,6 +145,20 @@ def test_blind_command(tmp_path):
     assert len(plot) == 8
 
 
+def test_blind_eft_honors_qmin(tmp_path):
+    # the criterion-12 blind config at 0 dB: EFT counted 0 cells whatever --qmin was
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC34))
+    pat = tmp_path / "pat.json"
+    pat.write_text(json.dumps({"L": 22, "p": 7, "C": [0, 5, 6, 8, 11, 16, 17], "T": 0.05}))
+    out = tmp_path / "blind.json"
+    rc = main(["blind", "--spec", str(spec), "--pattern", str(pat), "--M", "8192",
+               "--snr-db", "0", "--seed", "42", "--order", "eft", "--qmin", "3",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["q_hat"] >= 3
+
+
 def test_blind_from_stream_csv(tmp_path):
     import numpy as np
 

@@ -19,7 +19,8 @@ from subnyq import (
     sfs_cost,
     sfs_pattern_search,
 )
-from subnyq.patterns import anchor_support, draw_anchors
+from subnyq.patterns import _argmin_cond, _difference_table, anchor_support, draw_anchors
+from subnyq.sensing import _auto_pattern
 
 K16 = SpectralIndexSet((3, 4, 5, 10, 11), 16)
 
@@ -37,6 +38,169 @@ def gram_cond(L, C, k):
     if ev[0] <= ev[-1] * 1e-24:
         return math.inf
     return math.sqrt(ev[-1] / ev[0])
+
+
+def svd_conds(L, trials, k):
+    """cond of every row of trials (n, r) by SVD of its phase matrix, with
+    the module's rank tolerance: how both searches scored every candidate
+    before the Gram screen."""
+    A = np.exp(2j * np.pi * np.einsum("...i,j->...ij", trials, np.asarray(k.k)) / L)
+    s = np.linalg.svd(A, compute_uv=False)
+    tol = s[..., 0] * 1e-12 * max(A.shape[-2:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(s[..., -1] > tol, s[..., 0] / s[..., -1], np.inf)
+    return np.where(s[..., 0] == 0.0, np.inf, out)
+
+
+def svd_sfs(L, p, k):
+    """The greedy search with the SVD on every candidate (reference copy)."""
+    chosen, evaluations, cond = [], 0, math.inf
+    for _ in range(p):
+        cands = [c for c in range(L) if c not in chosen]
+        conds = svd_conds(L, np.asarray([sorted(chosen + [c]) for c in cands]), k)
+        evaluations += len(cands)
+        i = int(np.argmin(conds))
+        chosen = sorted(chosen + [cands[i]])
+        cond = float(conds[i])
+    return tuple(chosen), cond, evaluations
+
+
+def svd_exhaustive(L, p, k):
+    """The exhaustive search with the SVD on every candidate (reference)."""
+    combos = list(itertools.combinations(range(L), p))
+    conds = svd_conds(L, np.asarray(combos), k)
+    i = int(np.argmin(conds))
+    return combos[i], float(conds[i]), len(combos)
+
+
+def random_design(rng, L_max, p_max):
+    """(L, p, k) with q <= p; one draw in five puts k on even cells only, so
+    at even L rows c and c + L/2 coincide (rank-deficient candidates)."""
+    L = int(rng.integers(2, L_max + 1))
+    p = int(rng.integers(1, min(L, p_max) + 1))
+    cells = np.arange(0, L, 2) if rng.random() < 0.2 else np.arange(L)
+    q = int(rng.integers(1, min(p, len(cells)) + 1))
+    return L, p, SpectralIndexSet(tuple(sorted(rng.choice(cells, size=q, replace=False).tolist())), L)
+
+
+class TestScreenedSearchMatchesSvd:
+    """The Gram screen picks what the SVD on every candidate picks, with a
+    bit-equal cond and the same evaluation count."""
+
+    def test_random_designs(self):
+        rng = np.random.default_rng(2024)
+        n_exhaustive = 0
+        for _ in range(300):
+            L, p, k = random_design(rng, 80, 24)
+            res = sfs_pattern_search(L, p, k)
+            C, cond, evaluations = svd_sfs(L, p, k)
+            assert (res.pattern.C, res.cond) == (C, cond), (L, p, k.k)
+            assert res.evaluations == evaluations == sfs_cost(L, p)
+            if math.comb(L, p) <= 2000:
+                res = exhaustive_pattern_search(L, p, k)
+                assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(L, p, k)
+                n_exhaustive += 1
+        assert n_exhaustive >= 30
+
+    def test_small_exhaustive_designs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            L, p, k = random_design(rng, 14, 6)
+            res = exhaustive_pattern_search(L, p, k)
+            assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(L, p, k), (L, p, k.k)
+
+    def test_rank_deficient_designs(self):
+        # all-even cells at L = 8: rows c and c + 4 coincide, so candidates
+        # with both report inf, and many patterns tie
+        n_inf = 0
+        for p in range(1, 9):
+            for q in range(1, 5):
+                k = SpectralIndexSet(tuple(range(0, 2 * q, 2)), 8)
+                res = sfs_pattern_search(8, p, k)
+                assert (res.pattern.C, res.cond, res.evaluations) == svd_sfs(8, p, k)
+                res = exhaustive_pattern_search(8, p, k)
+                assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(8, p, k)
+                trials = np.asarray(list(itertools.combinations(range(8), p)))
+                n_inf += int(np.isinf(svd_conds(8, trials, k)).sum())
+        assert n_inf > 0
+
+    @pytest.mark.parametrize("L,p", [(20, 4), (20, 5), (20, 6), (200, 20)])
+    def test_planner_designs(self, L, p):
+        for seed in range(100):
+            # the design cells of sensing._auto_pattern
+            anchors = draw_anchors(max(p - 1, 1), 0, L, np.random.default_rng([seed, L, p]))
+            k = anchor_support(anchors, 0, L)
+            res = sfs_pattern_search(L, p, k)
+            assert (res.pattern.C, res.cond, res.evaluations) == svd_sfs(L, p, k), seed
+
+    def test_ill_conditioned_stack_goes_to_the_svd(self):
+        # nodes a few cells apart at L = 10**5: conds of 1e6 and more, where
+        # the Gram's eps*cond**2 error swamps the screen's shortlist margin
+        rng = np.random.default_rng(3)
+        L, karr = 10**5, np.array([0, 1, 2])
+        table = _difference_table(L, karr)
+        window = np.asarray(list(itertools.combinations(range(14), 3)))
+        for _ in range(20):
+            trials = window[rng.permutation(len(window))] + int(rng.integers(L - 14))
+            conds = svd_conds(L, trials, SpectralIndexSet((0, 1, 2), L))
+            i = int(np.argmin(conds))
+            assert _argmin_cond(L, trials, karr, table) == (i, float(conds[i]))
+
+    def test_large_L_moderate_conds(self, monkeypatch):
+        # one SFS-like step at L = 10**5: q - 1 chosen rows plus each of 15000
+        # candidates, with cells at a random far shift so the phase exponents
+        # m*k reach 10**10.  Best conds span 2e2 to 4e5, with near ties of
+        # 1e-7, so some steps are screened and some go to the SVD whole.
+        from subnyq import patterns
+
+        scored = []
+        cond_stack = patterns._cond_stack
+        monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
+        L, q, window = 10**5, 5, 30000
+        n_screened = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            karr = np.arange(q) + int(rng.integers(L))
+            base = rng.choice(window, q - 1, replace=False)
+            cands = np.setdiff1d(np.arange(0, window, 2), base)[:, np.newaxis]
+            trials = np.sort(np.hstack((np.repeat(base[np.newaxis], len(cands), axis=0), cands)), axis=1)
+            conds = svd_conds(L, trials, SpectralIndexSet(tuple(karr.tolist()), L))
+            i = int(np.argmin(conds))
+            scored.clear()
+            assert _argmin_cond(L, trials, karr, _difference_table(L, karr)) == (i, float(conds[i])), seed
+            n_screened += scored[0] < len(trials)
+        assert n_screened >= 5
+
+    def test_screen_spares_most_svds(self, monkeypatch):
+        # the criterion-9 design: 3810 candidates, 222 of them reach the SVD
+        from subnyq import patterns
+
+        scored = []
+        cond_stack = patterns._cond_stack
+        monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
+        _auto_pattern(200, 20, 2.0, 5)
+        assert sum(scored) <= 300
+
+
+class TestPinnedPatterns:
+    """Patterns the acceptance criteria run on, read before the Gram screen."""
+
+    def test_criterion_9_planner(self):
+        assert _auto_pattern(200, 20, 2.0, 5).C == (
+            0, 13, 16, 29, 41, 49, 52, 63, 78, 91, 104, 114, 125, 138, 144, 154, 167, 174, 177, 187,
+        )
+
+    def test_criterion_10_planner(self):
+        # pd_sweep seeds the planner with cfg.seed + p (cfg.seed = 1)
+        assert _auto_pattern(20, 2, 20.0, 3).C == (0, 1)
+        assert _auto_pattern(20, 4, 20.0, 5).C == (0, 3, 10, 13)
+        assert _auto_pattern(20, 6, 20.0, 7).C == (0, 2, 9, 12, 15, 17)
+
+    def test_criterion_3_pattern(self):
+        k = SpectralIndexSet((4, 5, 6, 7, 8, 15, 16, 17, 24, 25, 26), 32)
+        res = sfs_pattern_search(32, 12, k, T=0.2)
+        assert res.pattern.C == (0, 1, 2, 6, 11, 12, 13, 18, 22, 23, 24, 28)
+        assert res.cond == 2.8478128421510727
 
 
 class TestConditionNumber:
