@@ -127,6 +127,11 @@ def _argmin_cond(
     return int(rows[i]), float(conds[i])
 
 
+def _require_cells(k: SpectralIndexSet) -> None:
+    if not k.k:
+        raise ValueError("pattern search needs at least one active cell; k is empty")
+
+
 def _chunks(it: Iterable, size: int):
     it = iter(it)
     while True:
@@ -148,6 +153,7 @@ def exhaustive_pattern_search(
     Refuses when the candidate count exceeds the budget; use
     sfs_pattern_search for large problems.
     """
+    _require_cells(k)
     total = math.comb(L, p)
     if total > budget:
         raise SearchBudgetError(
@@ -185,6 +191,7 @@ def sfs_pattern_search(
     """
     if p > L:
         raise ValueError("p must not exceed L")
+    _require_cells(k)
     karr = np.asarray(k.k)
     table = _difference_table(L, karr)
     cands = np.arange(L)

@@ -1,11 +1,15 @@
 """Reconstruction of the base-rate signal from coset streams.
 
-Pipeline: map the known support to active cells, interpolate each coset
-stream onto the base grid through a lowpass for the observation band
-[0, 1/(L*T)) (one polyphase convolution per stream), then combine
-the filtered streams through the pseudo-inverse of the reduced measurement
-matrix, re-modulating each recovered cell to its slot.  A frequency-domain
-solver over DFT bins provides an independent cross-check.
+Pipeline: map the known support to active cells, then run one polyphase
+synthesis filter bank.  Interpolating each coset stream onto the base grid
+through a lowpass for the observation band [0, 1/(L*T)), combining the
+streams through the pseudo-inverse of the reduced measurement matrix and
+re-modulating each recovered cell to its slot are all linear and periodic
+in the base index with period L, so they fold into one tap matrix with a
+column per output phase, and the reconstruction is one matrix product of a
+sliding window over the ADC samples with those taps.  filter_streams, the
+interpolator on its own, serves blind detection.  A frequency-domain solver
+over DFT bins provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .patterns import condition_number
@@ -71,8 +76,9 @@ class InterpolationFilter:
 
     taps are the real linear-phase lowpass h_r modulated by exp(j*pi*n/L), so
     the passband sits on [0, 1/L) in normalized frequency (center 1/(2*L)).
-    group_delay is the integer delay compensated by filter_streams; for odd
-    N_h it is exact, for even N_h the output retains a half-sample offset.
+    group_delay is the integer delay compensated by filter_streams and
+    reconstruct_time; for odd N_h it is exact, for even N_h the output
+    retains a half-sample offset.
     """
 
     taps: np.ndarray
@@ -245,15 +251,28 @@ def reconstruct_time(
 ) -> ReconstructionReport:
     """Recover the base-rate sequence from coset streams on active cells k.
 
-    Each filtered stream is weighted by the pseudo-inverse combiner and
-    re-modulated to its cell slot.  The relative error against the reference
-    is computed over the transient-free index range only; with a zero
-    reference the error reports 0 when the reconstruction is also zero.
+    The synthesis is one polyphase product.  Output x[j*L + r] is
+    sum_i B[r, i] * f_i[j*L + r], where f_i is stream i interpolated as in
+    filter_streams and B = exp(2j*pi*((r*k) mod L)/L) @ W folds the
+    pseudo-inverse combiner W and the re-modulation of each cell to its slot
+    into an L x p table.  f_i[j*L + r] reads the taps h[r + d - c_i - s*L]
+    against ADC sample j + s, for the few shifts s that keep the tap index
+    inside the filter, so B, those taps and the center-tap phase make one
+    (p*U) x L matrix over U shifts, and x is a sliding window of the ADC
+    samples times that matrix.
+
+    The relative error against the reference is computed over the
+    transient-free index range only; with a zero reference the error reports
+    0 when the reconstruction is also zero.  A capture of at most
+    2*group_delay samples has no such index, so a reference is then
+    refused; without one the reconstruction is still returned.
     filter_meets_spec repeats filt.meets_spec: a filter short of its ripple
     targets degrades the result without any other sign.
     """
     _one_capture(streams)
     pattern = streams.pattern
+    if filt.L != pattern.L:
+        raise ValueError("filter L does not match pattern L")
     if k.q > pattern.p:
         raise IllPosedError(f"q={k.q} active cells exceed p={pattern.p} cosets")
     W, cond = _combining_matrix(pattern, k)
@@ -261,16 +280,31 @@ def reconstruct_time(
         raise IllPosedError(
             f"reduced matrix is rank deficient on cells {k.k} (cond={cond})"
         )
-    filtered = filter_streams(streams, filt)
-    combined = W @ filtered  # q x n
-    n_idx = np.arange(streams.length)
-    karr = np.asarray(k.k)
-    x_rec = np.sum(
-        combined * np.exp(2j * np.pi * np.outer(karr, n_idx) / pattern.L), axis=0
-    )
+    L, p, d, N_h = pattern.L, pattern.p, filt.group_delay, filt.n_taps
+    r = np.arange(L)
+    B = np.exp(2j * np.pi * (np.outer(r, k.k) % L) / L) @ W  # L x p
+    # output phase r of stream i reads tap e - s*L at shift s, e = r + d - c_i;
+    # 0 <= d < N_h puts 0 inside [s_lo, s_hi]
+    e = r - np.asarray(pattern.C)[:, np.newaxis] + d  # p x L
+    s_lo, s_hi = -((N_h - 1 - int(e.min())) // L), int(e.max()) // L
+    U = s_hi - s_lo + 1
+    tap = e[:, np.newaxis, :] - L * np.arange(s_lo, s_hi + 1)[:, np.newaxis]  # p x U x L
+    inside = (tap >= 0) & (tap < N_h)
+    h = np.where(inside, filt.taps[np.where(inside, tap, 0)], 0.0)
+    G = h * (np.exp(-1j * np.pi * d / L) * B.T[:, np.newaxis, :])
+    m = streams.samples.shape[-1]
+    padded = np.zeros((p, m + U - 1), dtype=np.complex128)
+    padded[:, -s_lo : m - s_lo] = streams.samples
+    X = sliding_window_view(padded, U, axis=1).transpose(1, 0, 2).reshape(m, p * U)
+    x_rec = (X @ G.reshape(p * U, L)).reshape(-1)
     lo, hi = valid_range(streams.length, filt)
     rmse = 0.0
     if reference is not None:
+        if lo >= hi:
+            raise ValueError(
+                f"a capture of {streams.length} samples has no transient-free sample: "
+                f"it needs more than 2*group_delay = {2 * d}"
+            )
         ref = reference.samples
         if len(ref) < hi:
             raise ValueError("reference shorter than the reconstruction window")

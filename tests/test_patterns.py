@@ -273,6 +273,10 @@ class TestExhaustiveSearch:
         res = exhaustive_pattern_search(5, 1, SpectralIndexSet((2,), 5))
         assert res.pattern.C == (0,)
 
+    def test_empty_cell_set_rejected(self):
+        with pytest.raises(ValueError, match="k is empty"):
+            exhaustive_pattern_search(8, 2, SpectralIndexSet((), 8))
+
 
 class TestSfsSearch:
     def test_reference_support_quality(self):
@@ -302,6 +306,10 @@ class TestSfsSearch:
     def test_p_greater_than_L_rejected(self):
         with pytest.raises(ValueError):
             sfs_pattern_search(4, 5, SpectralIndexSet((0,), 4))
+
+    def test_empty_cell_set_rejected(self):
+        with pytest.raises(ValueError, match="k is empty"):
+            sfs_pattern_search(8, 2, SpectralIndexSet((), 8))
 
 
 class TestSfsCost:

@@ -230,6 +230,29 @@ class TestReconstructTime:
                 coset_decompose(x, pat), SpectralIndexSet((0, 1, 2), 8), design_filter(8, 65)
             )
 
+    def test_filter_for_another_L_rejected(self, clean_signal, cells, sfs_pattern):
+        with pytest.raises(ValueError, match="filter L"):
+            reconstruct_time(
+                coset_decompose(clean_signal, sfs_pattern), cells, design_filter(16, 129)
+            )
+
+    @pytest.mark.parametrize("n", [40, 8])
+    def test_capture_without_transient_free_sample(self, n):
+        from subnyq import TimeSeries
+
+        rng = np.random.default_rng(n)
+        pat = SamplingPattern(8, (0, 1, 3, 5), 1.0)
+        x = TimeSeries(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0)
+        unrelated = TimeSeries(rng.standard_normal(n) + 0j, 1.0)
+        streams, k = coset_decompose(x, pat), SpectralIndexSet((1, 2), 8)
+        filt = design_filter(8, 63)
+        with pytest.raises(ValueError, match=rf"{n} samples .* 2\*group_delay = 62"):
+            reconstruct_time(streams, k, filt, reference=unrelated)
+        rep = reconstruct_time(streams, k, filt)
+        assert rep.x_rec.samples.shape == (n,)
+        assert rep.valid == (31, 31)
+        assert rep.rmse == 0.0
+
 
 class TestReconstructFrequency:
     def test_full_pattern_exact_slicing(self, clean_signal):
@@ -354,6 +377,50 @@ class TestPolyphaseMatchesPaddedPath:
         A = reduce_matrix(build_measurement_matrix(pat), k)
         ref = pseudo_inverse(A * pat.T) @ Y
         assert_rel_close(reconstruct_frequency(streams, k).cell_spectra, ref)
+
+
+    def test_reconstruct_time(self, case):
+        streams, n_taps = case
+        pat = streams.pattern
+        k = SpectralIndexSet((2, 5) if pat.p < pat.L else tuple(range(pat.L)), pat.L)
+        for transition in ("straddle", "inside"):
+            filt = design_filter(pat.L, n_taps, transition=transition)
+            assert_synthesis_matches(streams, k, filt)
+
+    def test_reconstruct_time_at_criterion_3_sizes(self, cells, sfs_pattern):
+        from subnyq import TimeSeries
+
+        rng = np.random.default_rng(32768)
+        n = 32768
+        x = TimeSeries(rng.standard_normal(n) + 1j * rng.standard_normal(n), T)
+        assert_synthesis_matches(coset_decompose(x, sfs_pattern), cells, design_filter(L, 383))
+
+    def test_reconstruct_time_on_a_capture_shorter_than_the_filter(self):
+        from subnyq import TimeSeries
+
+        rng = np.random.default_rng(60)
+        x = TimeSeries(rng.standard_normal(60) + 1j * rng.standard_normal(60), 1.0)
+        streams = coset_decompose(x, SamplingPattern(20, (0, 3, 7, 12), 1.0))
+        assert_synthesis_matches(streams, SpectralIndexSet((2, 5), 20), design_filter(20, 499))
+
+
+def padded_synthesis(streams, k, filt):
+    """The deleted synthesis path: combine the interpolated streams through
+    the pseudo-inverse (q x n), then re-modulate each cell with a q x n phase
+    table whose exponent is reduced mod L in integers."""
+    pat = streams.pattern
+    W = pseudo_inverse(reduce_matrix(build_measurement_matrix(pat), k) * pat.T)
+    combined = W @ filter_streams(streams, filt)
+    n_idx = np.arange(streams.length)
+    phase = np.exp(2j * np.pi * (np.outer(k.k, n_idx) % pat.L) / pat.L)
+    return np.sum(combined * phase, axis=0)
+
+
+def assert_synthesis_matches(streams, k, filt):
+    rep = reconstruct_time(streams, k, filt)
+    assert_rel_close(rep.x_rec.samples, padded_synthesis(streams, k, filt))
+    d, n = filt.group_delay, streams.length
+    assert rep.valid == (d, max(n - d, d))
 
 
 class TestStacksAndSpec:
