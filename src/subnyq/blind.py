@@ -432,7 +432,7 @@ def estimate_support_batch(
     The detection filter keeps its transition inside the cell with a deep
     stopband, so content hugging a cell boundary cannot register in the
     neighboring cell; correlation uses one transient-free snapshot every L
-    base samples, and only those filter outputs are computed.  Those
+    base samples, and filter_streams computes only those outputs.  Those
     snapshots are correlated, so AIC and MDL score them as the equivalent
     number of independent snapshots (report.snapshots keeps the count).
     Every order method keeps q_hat in [q_min, q_max]: AIC and MDL search
@@ -472,7 +472,7 @@ def estimate_support_batch(
     if hi - lo < L:
         raise ValueError("series too short: no transient-free snapshots remain")
     M_corr = len(range(lo, hi, L))
-    R = _correlate(filter_streams(streams, filt, lo, L)[..., :M_corr])
+    R = _correlate(filter_streams(streams, filt, lo, hi))
     vals, vecs = _eigh_descending(R)
     _check_correlation(R, vals)
     _check_descending(vals)

@@ -1,15 +1,14 @@
 """Reconstruction of the base-rate signal from coset streams.
 
 Pipeline: map the known support to active cells, then run one polyphase
-synthesis filter bank.  Interpolating each coset stream onto the base grid
-through a lowpass for the observation band [0, 1/(L*T)), combining the
-streams through the pseudo-inverse of the reduced measurement matrix and
-re-modulating each recovered cell to its slot are all linear and periodic
-in the base index with period L, so they fold into one tap matrix with a
-column per output phase, and the reconstruction is one matrix product of a
-sliding window over the ADC samples with those taps.  filter_streams, the
-interpolator on its own, serves blind detection.  A frequency-domain solver
-over DFT bins provides an independent cross-check.
+synthesis filter bank.  One kernel interpolates the coset streams onto the
+base grid through a lowpass for the observation band [0, 1/(L*T)): a
+sliding window over the ADC samples times a tap table with a column per
+output phase.  filter_streams applies it at one phase for blind detection;
+reconstruct_time folds the pseudo-inverse combiner and the re-modulation of
+each cell to its slot into the taps of all L phases, so reconstruction is
+one matrix product.  A frequency-domain solver over DFT bins provides an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -76,9 +75,9 @@ class InterpolationFilter:
 
     taps are the real linear-phase lowpass h_r modulated by exp(j*pi*n/L), so
     the passband sits on [0, 1/L) in normalized frequency (center 1/(2*L)).
-    group_delay is the integer delay compensated by filter_streams and
-    reconstruct_time; for odd N_h it is exact, for even N_h the output
-    retains a half-sample offset.
+    group_delay is the integer delay the polyphase kernel shared by
+    filter_streams and reconstruct_time compensates; for odd N_h it is
+    exact, for even N_h the output retains a half-sample offset.
     """
 
     taps: np.ndarray
@@ -165,41 +164,54 @@ def design_filter(
     )
 
 
-def filter_streams(
-    streams: CosetStreams, filt: InterpolationFilter, start: int = 0, step: int = 1
-) -> np.ndarray:
-    """Interpolate every coset stream onto the base grid; delay-compensated.
+def _polyphase(
+    streams: CosetStreams, filt: InterpolationFilter, phases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, complex]:
+    """The polyphase interpolation kernel: sample windows, taps, phase.
 
-    The output has the shape of streams.samples, (..., p, m), except for its
-    last axis: column j is the filtered stream at base index start + j*step,
-    for each such index below streams.length.  Leading (capture) axes are
-    filtered independently.  Each coset is one polyphase convolution over
-    the whole stack: its ADC samples are upsampled by L onto the coset,
-    filtered, and only every step-th output is computed.  Besides the
-    integer group delay, the modulated taps leave a constant phase
-    exp(j*pi*d/L) at the center tap; both are removed here so the effective
-    response is zero phase on the passband.
+    Stream i interpolated and delay-compensated at base index j*L + r is
+    sum_s x_i[j + s] * h[r + d - c_i - s*L] times the center-tap phase
+    exp(-j*pi*d/L), over U shifts s.  Returns the (..., p, m, U) sliding
+    window of x_i[j + s] over the zero-padded ADC samples, the (p, U, R)
+    taps of the R output phases r asked for, and the center-tap phase.
     """
-    pattern = streams.pattern
-    L = pattern.L
+    L, d, N_h = streams.pattern.L, filt.group_delay, filt.n_taps
     if filt.L != L:
         raise ValueError("filter L does not match pattern L")
-    if start < 0 or step < 1:
-        raise ValueError("need start >= 0 and step >= 1")
-    d = filt.group_delay
-    n_out = len(range(start, streams.length, step))
-    out = np.zeros((*streams.samples.shape[:-1], n_out), dtype=np.complex128)
-    for i, c in enumerate(pattern.C):
-        # output j is the upsampled convolution at index off + j*step; z
-        # leading zero taps shift that onto a nonnegative multiple of step
-        off = start + d - c
-        first = max(-(-off // step), 0)
-        z = first * step - off
-        taps = np.concatenate((np.zeros(z, dtype=np.complex128), filt.taps))
-        y = sps.upfirdn(taps, streams.samples[..., i, :], up=L, down=step, axis=-1)
-        y = y[..., first : first + n_out]
-        out[..., i, : y.shape[-1]] = y
-    return out * np.exp(-1j * np.pi * d / L)
+    e = phases - np.asarray(streams.pattern.C)[:, np.newaxis] + d  # p x R
+    # shift 0 stays in the window so the padding below is never negative
+    s_lo = min(-((N_h - 1 - int(e.min())) // L), 0)
+    s_hi = max(int(e.max()) // L, 0)
+    U = s_hi - s_lo + 1
+    tap = e[:, np.newaxis, :] - L * np.arange(s_lo, s_hi + 1)[:, np.newaxis]
+    inside = (tap >= 0) & (tap < N_h)
+    h = np.where(inside, filt.taps[np.where(inside, tap, 0)], 0.0)
+    m = streams.samples.shape[-1]
+    padded = np.zeros((*streams.samples.shape[:-1], m + U - 1), dtype=np.complex128)
+    padded[..., -s_lo : m - s_lo] = streams.samples
+    return sliding_window_view(padded, U, axis=-1), h, np.exp(-1j * np.pi * d / L)
+
+
+def filter_streams(
+    streams: CosetStreams, filt: InterpolationFilter, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Interpolate every coset stream onto the base grid at one output phase.
+
+    The output has the shape of streams.samples, (..., p, m), except for its
+    last axis: column j is the filtered stream at base index start + j*L,
+    for each such index below stop (default streams.length).  Leading
+    (capture) axes are filtered independently.  Only those outputs are
+    computed.  The integer group delay and the constant phase exp(j*pi*d/L)
+    the modulated taps leave at the center tap are both removed, so the
+    effective response is zero phase on the passband.
+    """
+    L = streams.pattern.L
+    stop = streams.length if stop is None else stop
+    if start < 0 or stop > streams.length:
+        raise ValueError("need start >= 0 and stop <= streams.length")
+    X, h, center = _polyphase(streams, filt, np.array([start % L]))
+    j0, n = start // L, len(range(start, stop, L))
+    return (X[..., j0 : j0 + n, :] @ h)[..., 0] * center
 
 
 def valid_range(streams_length: int, filt: InterpolationFilter) -> tuple[int, int]:
@@ -251,28 +263,27 @@ def reconstruct_time(
 ) -> ReconstructionReport:
     """Recover the base-rate sequence from coset streams on active cells k.
 
-    The synthesis is one polyphase product.  Output x[j*L + r] is
-    sum_i B[r, i] * f_i[j*L + r], where f_i is stream i interpolated as in
-    filter_streams and B = exp(2j*pi*((r*k) mod L)/L) @ W folds the
-    pseudo-inverse combiner W and the re-modulation of each cell to its slot
-    into an L x p table.  f_i[j*L + r] reads the taps h[r + d - c_i - s*L]
-    against ADC sample j + s, for the few shifts s that keep the tap index
-    inside the filter, so B, those taps and the center-tap phase make one
-    (p*U) x L matrix over U shifts, and x is a sliding window of the ADC
-    samples times that matrix.
+    Output x[j*L + r] is sum_i B[r, i] * f_i[j*L + r], where f_i is stream
+    i interpolated by the polyphase kernel of filter_streams and
+    B = exp(2j*pi*((r*k) mod L)/L) @ W folds the pseudo-inverse combiner W
+    and the re-modulation of each cell to its slot into an L x p table.  B,
+    the kernel's taps for all L phases and the center-tap phase make one
+    (p*U) x L matrix, and x is the kernel's sample window times it.
 
     The relative error against the reference is computed over the
-    transient-free index range only; with a zero reference the error reports
-    0 when the reconstruction is also zero.  A capture of at most
-    2*group_delay samples has no such index, so a reference is then
-    refused; without one the reconstruction is still returned.
+    transient-free range only, which valid reports; with a zero reference
+    the error reports 0 when the reconstruction is also zero.  The capture
+    ends where the reference does, before the zeros coset_decompose pads it
+    with up to a multiple of L; a reference more than L - 1 samples short of
+    streams.length is refused.  A capture of at most 2*group_delay samples
+    has no transient-free index, so a reference is then refused; without
+    one the reconstruction is still returned.
     filter_meets_spec repeats filt.meets_spec: a filter short of its ripple
     targets degrades the result without any other sign.
     """
     _one_capture(streams)
     pattern = streams.pattern
-    if filt.L != pattern.L:
-        raise ValueError("filter L does not match pattern L")
+    X, h, center = _polyphase(streams, filt, np.arange(pattern.L))
     if k.q > pattern.p:
         raise IllPosedError(f"q={k.q} active cells exceed p={pattern.p} cosets")
     W, cond = _combining_matrix(pattern, k)
@@ -280,34 +291,22 @@ def reconstruct_time(
         raise IllPosedError(
             f"reduced matrix is rank deficient on cells {k.k} (cond={cond})"
         )
-    L, p, d, N_h = pattern.L, pattern.p, filt.group_delay, filt.n_taps
-    r = np.arange(L)
-    B = np.exp(2j * np.pi * (np.outer(r, k.k) % L) / L) @ W  # L x p
-    # output phase r of stream i reads tap e - s*L at shift s, e = r + d - c_i;
-    # 0 <= d < N_h puts 0 inside [s_lo, s_hi]
-    e = r - np.asarray(pattern.C)[:, np.newaxis] + d  # p x L
-    s_lo, s_hi = -((N_h - 1 - int(e.min())) // L), int(e.max()) // L
-    U = s_hi - s_lo + 1
-    tap = e[:, np.newaxis, :] - L * np.arange(s_lo, s_hi + 1)[:, np.newaxis]  # p x U x L
-    inside = (tap >= 0) & (tap < N_h)
-    h = np.where(inside, filt.taps[np.where(inside, tap, 0)], 0.0)
-    G = h * (np.exp(-1j * np.pi * d / L) * B.T[:, np.newaxis, :])
-    m = streams.samples.shape[-1]
-    padded = np.zeros((p, m + U - 1), dtype=np.complex128)
-    padded[:, -s_lo : m - s_lo] = streams.samples
-    X = sliding_window_view(padded, U, axis=1).transpose(1, 0, 2).reshape(m, p * U)
-    x_rec = (X @ G.reshape(p * U, L)).reshape(-1)
-    lo, hi = valid_range(streams.length, filt)
+    L = pattern.L
+    B = np.exp(2j * np.pi * (np.outer(np.arange(L), k.k) % L) / L) @ W  # L x p
+    G = h * (center * B.T[:, np.newaxis, :])
+    x_rec = (X.transpose(1, 0, 2).reshape(X.shape[1], -1) @ G.reshape(-1, L)).reshape(-1)
+    n = streams.length if reference is None else min(streams.length, len(reference.samples))
+    if n <= streams.length - L:
+        raise ValueError(f"reference of {n} samples is more than L - 1 short of the capture")
+    lo, hi = valid_range(n, filt)
     rmse = 0.0
     if reference is not None:
         if lo >= hi:
             raise ValueError(
-                f"a capture of {streams.length} samples has no transient-free sample: "
-                f"it needs more than 2*group_delay = {2 * d}"
+                f"a capture of {n} samples has no transient-free sample: "
+                f"it needs more than 2*group_delay = {2 * filt.group_delay}"
             )
         ref = reference.samples
-        if len(ref) < hi:
-            raise ValueError("reference shorter than the reconstruction window")
         num = float(np.linalg.norm(x_rec[lo:hi] - ref[lo:hi]))
         den = float(np.linalg.norm(ref[lo:hi]))
         rmse = num / den if den > 0 else (0.0 if num == 0.0 else math.inf)

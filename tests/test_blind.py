@@ -547,7 +547,7 @@ def reference_chain(streams, order, localize, select):
     filt = design_filter(L, n_taps, passband_ripple=0.02, stopband_ripple=1e-3, transition="inside")
     lo, hi = valid_range(streams.length, filt)
     M = len(range(lo, hi, L))
-    Rhat = sample_correlation(filter_streams(streams, filt, lo, L)[:, :M])
+    Rhat = sample_correlation(filter_streams(streams, filt, lo, hi))
     eigs = eigendecompose(Rhat)
     M_ind = M * _independent_fraction(filt)
     est = {"aic": aic_order, "mdl": mdl_order, "eft": eft_order}[order](eigs, M_ind, p)
@@ -631,7 +631,8 @@ class TestCorrelatedSnapshots:
         rng = np.random.default_rng(31)
         noise = rng.standard_normal((400, 4, 100)) + 1j * rng.standard_normal((400, 4, 100))
         filt = design_filter(20, 499, passband_ripple=0.02, stopband_ripple=1e-3, transition="inside")
-        Y = filter_streams(CosetStreams(noise, pattern), filt, filt.group_delay, 20)[..., :76]
+        d = filt.group_delay
+        Y = filter_streams(CosetStreams(noise, pattern), filt, d, d + 76 * 20)
         power = np.mean(np.abs(Y) ** 2)
         rho2 = sum(
             abs(np.mean(Y[..., k:] * Y[..., :-k].conj()) / power) ** 2 for k in range(1, 25)

@@ -231,10 +231,11 @@ class TestReconstructTime:
             )
 
     def test_filter_for_another_L_rejected(self, clean_signal, cells, sfs_pattern):
+        streams = coset_decompose(clean_signal, sfs_pattern)
         with pytest.raises(ValueError, match="filter L"):
-            reconstruct_time(
-                coset_decompose(clean_signal, sfs_pattern), cells, design_filter(16, 129)
-            )
+            reconstruct_time(streams, cells, design_filter(16, 129))
+        with pytest.raises(ValueError, match="filter L"):
+            filter_streams(streams, design_filter(16, 129))
 
     @pytest.mark.parametrize("n", [40, 8])
     def test_capture_without_transient_free_sample(self, n):
@@ -252,6 +253,25 @@ class TestReconstructTime:
         assert rep.x_rec.samples.shape == (n,)
         assert rep.valid == (31, 31)
         assert rep.rmse == 0.0
+
+    @pytest.mark.parametrize("n_taps, valid", [(13, (6, 995)), (63, (31, 970))])
+    def test_reference_on_a_capture_not_a_multiple_of_L(self, n_taps, valid):
+        # 1001 samples pad to 1008; the window must end group_delay before
+        # the last real sample, not before the zero pad
+        from subnyq import TimeSeries
+
+        x = TimeSeries(np.exp(2j * np.pi * 0.28 * np.arange(1001)), 1.0)
+        streams = coset_decompose(x, SamplingPattern(16, (0, 3, 5, 9, 12), 1.0))
+        k, filt = SpectralIndexSet((4,), 16), design_filter(16, n_taps)
+        rep = reconstruct_time(streams, k, filt, reference=x)
+        assert rep.valid == valid
+        lo, hi = valid
+        err = rep.x_rec.samples[lo:hi] - x.samples[lo:hi]
+        assert rep.rmse == pytest.approx(np.linalg.norm(err) / np.linalg.norm(x.samples[lo:hi]))
+        assert reconstruct_time(streams, k, filt).valid == (lo, 1008 - lo)
+        short = TimeSeries(x.samples[:992], 1.0)
+        with pytest.raises(ValueError, match="more than L - 1 short"):
+            reconstruct_time(streams, k, filt, reference=short)
 
 
 class TestReconstructFrequency:
@@ -325,15 +345,22 @@ def assert_rel_close(new, ref, rel=1e-12):
 
 class TestPolyphaseMatchesPaddedPath:
     # odd and even N_h, N_h < L (group delay below some offsets), a length
-    # that is not a multiple of L, and the full pattern p = L
+    # that is not a multiple of L, the full pattern p = L, and a 7-tap filter
+    # on offsets where phase 15 reads only later ADC samples than its own
+    # (C low) or phase 0 only earlier ones (C high)
     CASES = [
         (16, (0, 3, 5, 9, 12), 129, 4096),
         (16, (0, 3, 5, 9, 12), 128, 4001),
         (16, (1, 7, 10, 15), 15, 1000),
         (8, tuple(range(8)), 64, 1030),
+        (16, (0, 5, 10), 7, 1000),
+        (16, (4, 9, 14), 7, 1000),
     ]
 
-    @pytest.fixture(params=CASES, ids=["odd", "even-ragged", "short-filter", "p-equals-L"])
+    @pytest.fixture(
+        params=CASES,
+        ids=["odd", "even-ragged", "short-filter", "p-equals-L", "7-taps-C-low", "7-taps-C-high"],
+    )
     def case(self, request):
         from subnyq import TimeSeries
 
@@ -350,10 +377,13 @@ class TestPolyphaseMatchesPaddedPath:
         for transition in ("straddle", "inside"):
             filt = design_filter(L, n_taps, transition=transition)
             ref = padded_filter(streams, filt)
-            d = filt.group_delay
-            assert_rel_close(filter_streams(streams, filt), ref)
-            assert_rel_close(filter_streams(streams, filt, d, L), ref[:, d::L])
-            assert_rel_close(filter_streams(streams, filt, 5, 3), ref[:, 5::3])
+            d, n = filt.group_delay, streams.length
+            for start in range(L):
+                assert_rel_close(filter_streams(streams, filt, start), ref[:, start::L])
+            for start, stop in ((d, None), (d + 3 * L, None), (d, n - d)):
+                assert_rel_close(
+                    filter_streams(streams, filt, start, stop), ref[:, start:stop:L]
+                )
 
     def test_estimate_support_eigenvalues(self, case):
         streams, n_taps = case
@@ -410,7 +440,7 @@ def padded_synthesis(streams, k, filt):
     table whose exponent is reduced mod L in integers."""
     pat = streams.pattern
     W = pseudo_inverse(reduce_matrix(build_measurement_matrix(pat), k) * pat.T)
-    combined = W @ filter_streams(streams, filt)
+    combined = W @ padded_filter(streams, filt)
     n_idx = np.arange(streams.length)
     phase = np.exp(2j * np.pi * (np.outer(k.k, n_idx) % pat.L) / pat.L)
     return np.sum(combined * phase, axis=0)
@@ -430,11 +460,15 @@ class TestStacksAndSpec:
         samples = rng.standard_normal((3, 5, 40)) + 1j * rng.standard_normal((3, 5, 40))
         stack = CosetStreams(samples, pattern)
         filt = design_filter(16, 129, transition="inside")
-        for start, step in ((0, 1), (filt.group_delay, 16), (5, 3)):
-            out = filter_streams(stack, filt, start, step)
+        d = filt.group_delay
+        for start, stop in ((0, None), (d, 640 - d), (5, 300)):
+            out = filter_streams(stack, filt, start, stop)
             for t in range(3):
-                one = filter_streams(CosetStreams(samples[t], pattern), filt, start, step)
+                one = filter_streams(CosetStreams(samples[t], pattern), filt, start, stop)
                 assert np.array_equal(out[t], one)
+        for start, stop in ((-1, None), (0, 641)):
+            with pytest.raises(ValueError, match="start >= 0 and stop <= streams.length"):
+                filter_streams(stack, filt, start, stop)
 
     def test_reconstruction_takes_one_capture(self, clean_signal, cells):
         streams = coset_decompose(clean_signal, sfs_pattern_search(L, 12, cells, T=T).pattern)
