@@ -67,7 +67,7 @@ class PatternSearchResult:
 
 
 def condition_number(A: np.ndarray) -> float:
-    """sigma_max/sigma_min of A; +inf below the rank tolerance.
+    """sigma_max/sigma_min of A; +inf at or below the rank tolerance.
 
     The tolerance is sigma_max * 1e-12 * max(A.shape), so numerically singular
     matrices report as infinite rather than as float noise.
@@ -75,10 +75,7 @@ def condition_number(A: np.ndarray) -> float:
     A = np.asarray(A)
     if A.size == 0:
         raise ValueError("condition_number of an empty matrix")
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < s[0] * RANK_RTOL * max(A.shape):
-        return math.inf
-    return float(s[0] / s[-1])
+    return float(_cond_stack(A))
 
 
 def _phase_matrix(L: int, C: np.ndarray, karr: np.ndarray) -> np.ndarray:
@@ -87,6 +84,7 @@ def _phase_matrix(L: int, C: np.ndarray, karr: np.ndarray) -> np.ndarray:
 
 
 def _cond_stack(mats: np.ndarray) -> np.ndarray:
+    """condition_number of each matrix in a (..., r, q) stack."""
     s = np.linalg.svd(mats, compute_uv=False)
     tol = s[..., 0] * RANK_RTOL * max(mats.shape[-2:])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -242,6 +240,14 @@ def anchor_support(anchors: Iterable[int], d: int, L: int) -> SpectralIndexSet:
     return SpectralIndexSet(tuple(sorted(cells)), L)
 
 
+def _anchored_sfs(
+    L: int, p: int, n_anchors: int, d: int, rng: np.random.Generator, T: float
+) -> PatternSearchResult:
+    """Greedy search against the cells of n_anchors random anchors."""
+    k = anchor_support(draw_anchors(n_anchors, d, L, rng), d, L)
+    return sfs_pattern_search(L, p, k, T=T)
+
+
 def blind_sfs(
     N: int,
     B: float,
@@ -260,14 +266,8 @@ def blind_sfs(
     """
     params = blind_parameters(N, B, f_max, d)
     L_eff = params.L if L is None else L
-    if N * (d + 1) > L_eff:
-        raise ValueError("anchor spacing constraint infeasible: N*(d+1) > L")
     rng = np.random.default_rng(seed)
-    anchors = draw_anchors(N, d, L_eff, rng)
-    k = anchor_support(anchors, d, L_eff)
-    p = min(params.p, L_eff)
-    out = sfs_pattern_search(L_eff, p, k, T=T if T is not None else 1.0 / f_max)
-    return PatternSearchResult(out.pattern, out.cond, out.evaluations, design_k=k)
+    return _anchored_sfs(L_eff, min(params.p, L_eff), N, d, rng, 1.0 / f_max if T is None else T)
 
 
 def random_pattern(L: int, p: int, rng: np.random.Generator) -> SamplingPattern:

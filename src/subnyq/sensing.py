@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blind
-from .patterns import anchor_support, condition_number, draw_anchors, sfs_pattern_search
+from .patterns import _anchored_sfs, condition_number
 from .sampling import (
     CosetStreams,
     SamplingPattern,
@@ -116,11 +116,7 @@ class PdResult:
 def _auto_pattern(L: int, p: int, f_max: float, seed: int) -> SamplingPattern:
     """Greedy pattern against p-1 randomly anchored single-cell candidates."""
     rng = np.random.default_rng([seed, L, p])
-    n_anchor = max(p - 1, 1)
-    anchors = draw_anchors(n_anchor, 0, L, rng)
-    k_design = anchor_support(anchors, 0, L)
-    res = sfs_pattern_search(L, p, k_design, T=1.0 / f_max)
-    return res.pattern
+    return _anchored_sfs(L, p, max(p - 1, 1), 0, rng, 1.0 / f_max).pattern
 
 
 def plan_sensing(cfg: SensingConfig) -> SensingPlan:

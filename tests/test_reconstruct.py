@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import signal as sps
 
+import subnyq
 from subnyq import (
     CosetStreams,
     IllPosedError,
@@ -132,6 +139,74 @@ class TestDesignFilter:
             design_filter(8, 2)
 
 
+def scipy_design(L, N_h, passband_ripple, stopband_ripple, transition):
+    """design_filter as built on scipy.signal (kaiser_beta, firwin, freqz):
+    taps, band edges, achieved ripples and meets_spec."""
+    atten = -20.0 * math.log10(min(passband_ripple, stopband_ripple))
+    beta = sps.kaiser_beta(atten)
+    d_omega = max((atten - 7.95) / (2.285 * (N_h - 1)), 1e-9)
+    cutoff = 1.0 / (2 * L)
+    limit = 0.95 * cutoff if transition == "inside" else 1.9 * cutoff
+    trans = min(d_omega / (2.0 * np.pi), limit)
+    shift = trans / 2.0 if transition == "inside" else 0.0
+    hr = sps.firwin(N_h, cutoff - shift, window=("kaiser", beta), fs=1.0)
+    pass_edge = cutoff - shift - trans / 2.0
+    stop_edge = cutoff - shift + trans / 2.0
+    w, H = sps.freqz(hr, worN=8192, fs=1.0)
+    mag = np.abs(H)
+    in_pass, in_stop = w <= pass_edge, w >= stop_edge
+    a_pass = float(np.max(np.abs(mag[in_pass] - 1.0))) if in_pass.any() else 0.0
+    a_stop = float(np.max(mag[in_stop])) if in_stop.any() else 0.0
+    meets = a_pass <= passband_ripple * 1.10 and a_stop <= stopband_ripple * 1.10
+    taps = hr * np.exp(1j * np.pi * np.arange(N_h) / L)
+    return taps, pass_edge, stop_edge, a_pass, a_stop, meets
+
+
+class TestDesignFilterMatchesScipy:
+    """The numpy design reproduces the scipy.signal one it replaced."""
+
+    # 80, 42 and 20 dB: one ripple pair per branch of Kaiser's beta rule.
+    # N_h above 16384 takes the folded grid; freqz switched to polyval there.
+    @pytest.mark.parametrize("transition", ["straddle", "inside"])
+    @pytest.mark.parametrize("ripples", [(1e-4, 1e-4), (0.02, 0.008), (0.1, 0.1)])
+    def test_matches_old_design(self, ripples, transition):
+        for L in (16, 20, 32, 200):
+            for N_h in (3, 4, 7, 13, 63, 383, 499, 1761, 6401, 16385, 20001):
+                filt = design_filter(L, N_h, *ripples, transition=transition)
+                taps, pass_edge, stop_edge, a_pass, a_stop, meets = scipy_design(
+                    L, N_h, *ripples, transition
+                )
+                case = (L, N_h)
+                np.testing.assert_allclose(filt.taps, taps, rtol=1e-12, atol=0, err_msg=str(case))
+                assert (filt.passband_edge, filt.stopband_edge) == (pass_edge, stop_edge), case
+                assert filt.meets_spec == meets, case
+                # a ripple is a deviation of |H| from gain 1 or 0, so roundoff
+                # is on the scale of the unit gain; past 16384 taps freqz's
+                # polyval is off the exact response by about 4e-13
+                assert filt.achieved_passband_ripple == pytest.approx(a_pass, abs=1e-12), case
+                assert filt.achieved_stopband_ripple == pytest.approx(a_stop, abs=1e-12), case
+
+    @pytest.mark.parametrize("atten", [20.9, 21.1, 30.0, 49.9, 50.1, 70.0])
+    def test_beta_rule_near_its_thresholds(self, atten):
+        delta = 10 ** (-atten / 20)
+        for transition in ("straddle", "inside"):
+            taps = scipy_design(16, 63, delta, delta, transition)[0]
+            filt = design_filter(16, 63, delta, delta, transition=transition)
+            np.testing.assert_allclose(filt.taps, taps, rtol=1e-12, atol=0)
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, subnyq, subnyq.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        path = [str(Path(subnyq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestPseudoInverse:
     def test_square_inverse(self):
         rng = np.random.default_rng(1)
@@ -216,19 +291,22 @@ class TestReconstructTime:
         from subnyq import TimeSeries
 
         x = TimeSeries(np.ones(160, dtype=complex), 1.0)
-        filt = design_filter(16, 129)
-        with pytest.raises(IllPosedError):
-            reconstruct_time(coset_decompose(x, pat), k, filt)
+        streams = coset_decompose(x, pat)
+        with pytest.raises(IllPosedError, match="rank deficient"):
+            reconstruct_time(streams, k, design_filter(16, 129))
+        with pytest.raises(IllPosedError, match="rank deficient"):
+            reconstruct_frequency(streams, k)
 
     def test_too_many_cells_rejected(self, narrow_filter):
         from subnyq import TimeSeries
 
         pat = SamplingPattern(8, (0, 3), 1.0)
         x = TimeSeries(np.ones(64, dtype=complex), 1.0)
-        with pytest.raises(IllPosedError):
-            reconstruct_time(
-                coset_decompose(x, pat), SpectralIndexSet((0, 1, 2), 8), design_filter(8, 65)
-            )
+        streams, k = coset_decompose(x, pat), SpectralIndexSet((0, 1, 2), 8)
+        with pytest.raises(IllPosedError, match="exceed p=2"):
+            reconstruct_time(streams, k, design_filter(8, 65))
+        with pytest.raises(IllPosedError, match="exceed p=2"):
+            reconstruct_frequency(streams, k)
 
     def test_filter_for_another_L_rejected(self, clean_signal, cells, sfs_pattern):
         streams = coset_decompose(clean_signal, sfs_pattern)
