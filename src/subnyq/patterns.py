@@ -6,13 +6,28 @@ cond over candidate offset sets: exhaustively for small problems, greedily
 (sequential forward selection) otherwise, and from a randomized candidate
 support when the true support is unknown.
 
-Both searches score a stack of candidates in two passes.  A screen takes cond
-from the eigenvalues of each candidate's row Gram, gathered from one table of
-offset differences; the exact SVD then runs only on the candidates the
-screen puts within roundoff of the best, and decides among them.  A stack
-whose best screened cond is past what the screen's error bound trusts
-(about 1e3) goes to the SVD whole.  The pick and the reported cond are those
-of an SVD over every candidate.
+Both searches score a stack of candidates in two passes.  A screen bounds
+each candidate's cond; the exact SVD then runs only on the candidates whose
+lower bound reaches the smallest upper bound (times 1 + _SCREEN_RTOL), and
+decides among them in row order.  A stack whose best screened cond is past
+what the screen's error bound trusts (about 1e3) goes to the SVD whole.  The
+pick and the reported cond are those of an SVD over every candidate.
+
+There are two screens.  The stacked screen takes cond from one eigvalsh per
+candidate row Gram, gathered from one table of offset differences; its
+point value is trusted to the _SCREEN_RTOL margin.  The secular screen
+serves a greedy step that adds row r to s = r - 1 chosen rows: every
+candidate's Gram is the chosen rows' Gram bordered by one row, so one eigh
+of that shared s x s Gram turns each candidate into an arrowhead matrix.
+Its eigenvalues are the roots of a secular equation f(x) = 0 with f' <= -1
+between poles, so an iterate x between the two poles that bracket a root is
+within |f(x)| of it.  A few vectorized rational steps approach sigma_max**2
+(the largest root) and sigma_min**2 (the smallest root while r <= q, the
+root between the two smallest nonzero poles after that); with a roundoff
+term this certifies an interval for every candidate's cond.  The exhaustive
+search, the first greedy step, a single cell and steps with fewer than
+_SECULAR_MIN_WORK candidates * r**2 (where eigvalsh is cheaper) keep the
+stacked screen.
 """
 
 from __future__ import annotations
@@ -50,8 +65,28 @@ RANK_RTOL = 1e-12
 # margin _SCREEN_RTOL holds the SVD's argmin while it exceeds twice that
 # error; a step whose best screen cond leaves less than a tenfold safety on
 # that (cond about 1e3 at r = 30) goes to the SVD whole.
+_EPS = np.finfo(float).eps
 _SCREEN_RTOL = 1e-6
-_SCREEN_ERR = 8 * np.finfo(float).eps
+_SCREEN_ERR = 8 * _EPS
+# The secular screen's roundoff term: its eigenvalue bounds widen by
+# _CERT_ERR * r * (1 + theta) * sigma_max**2, theta = 2*pi*max(c)*max(k)/L
+# the largest phase the SVD's matrix forms.  The table's entries are exact
+# to about 15*q*eps <= 15*eps*lmax, and eigh and the SVD are backward
+# stable to a few r*eps*lmax.  The SVD's matrix takes its phases unreduced,
+# so its entries are off by up to (3*theta + 2)*eps, which moves sigma**2 by
+# up to 2*sqrt(r)*(3*theta + 2)*eps*lmax.  64 covers the sum with room; the
+# roundoff of f itself is bounded apart (_root_bounds).  _SECULAR_STEPS
+# rational steps bring |f| below that term on separated poles.
+_CERT_ERR = 64 * _EPS
+_SECULAR_STEPS = 3
+# A greedy step with fewer than _SECULAR_MIN_WORK candidates * r**2 keeps
+# the stacked screen.  On an (n, r) grid (n 10-400, r 2-20; one thread,
+# 2-vCPU x86_64 host) the stacked screen cost 0.075-0.15 us * n * r**2 at
+# every n, and the secular screen a fixed 0.15-0.2 ms (0.35 ms past r = q,
+# where it solves two root problems apart), so the crossover sat at
+# n * r**2 of about 2000 before r = q and 4000 past it; n * r**3 would have
+# put it anywhere from 3000 (n = 400) to 80000 (n = 10).
+_SECULAR_MIN_WORK = 4000
 
 
 class SearchBudgetError(RuntimeError):
@@ -101,13 +136,12 @@ def _difference_table(L: int, karr: np.ndarray) -> np.ndarray:
 def _argmin_cond(
     L: int, trials: np.ndarray, karr: np.ndarray, table: np.ndarray
 ) -> tuple[int, float]:
-    """Index and cond of the first best-conditioned row of trials (n, r).
+    """Index and cond of the first best-conditioned row of trials (n, r),
+    through the stacked Gram screen.
 
-    Equal to the argmin of _cond_stack over every row: the Gram screen
-    (table from _difference_table) shortlists the rows within _SCREEN_RTOL of
-    its best, and the SVD decides among them in row order.  The SVD scores
-    every row when the screen's best is past the level its error bound
-    trusts (the comment at _SCREEN_RTOL).
+    Equal to the argmin of _cond_stack over every row: each row's Gram
+    (table from _difference_table) is gathered and its cond taken from
+    eigvalsh, a point value whose error the _SCREEN_RTOL margin covers.
     """
     r = trials.shape[1]
     gram = table[(trials[:, :, np.newaxis] - trials[:, np.newaxis, :]) % L]
@@ -116,16 +150,187 @@ def _argmin_cond(
     lmin, lmax = ev[:, r - min(r, len(karr))], ev[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         screen = np.where(lmin > 0.0, np.sqrt(lmax / lmin), np.inf)
-    best = screen.min()
+    return _svd_argmin(L, trials, karr, screen, screen)
+
+
+def _svd_argmin(
+    L: int, trials: np.ndarray, karr: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[int, float]:
+    """Index and cond of the first best-conditioned row of trials (n, r),
+    given screen bounds lo <= cond <= hi per row.
+
+    The SVD decides in row order among the rows whose lo is within
+    _SCREEN_RTOL of the smallest hi, or among every row when that hi is past
+    the level the screens' error bounds trust (the comment at _SCREEN_RTOL).
+    """
+    r = trials.shape[1]
+    best = hi.min()
     rows = np.arange(len(trials))
     if best < math.sqrt(_SCREEN_RTOL / (20 * _SCREEN_ERR * r)):
-        rows = np.flatnonzero(screen <= best * (1.0 + _SCREEN_RTOL))
+        rows = np.flatnonzero(lo <= best * (1.0 + _SCREEN_RTOL))
     conds = _cond_stack(_phase_matrix(L, trials[rows], karr))
     i = int(np.argmin(conds))
     return int(rows[i]), float(conds[i])
 
 
-def _require_cells(k: SpectralIndexSet) -> None:
+def _pole_root(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Positive root t of t**2 - a*t - c = 0 (c >= 0), without cancellation."""
+    sq = np.sqrt(a * a + 4.0 * c)
+    return np.where(a > 0.0, 0.5 * (a + sq), 2.0 * c / (sq - a))
+
+
+def _top_root(lam: np.ndarray, w: np.ndarray, q: np.ndarray | float) -> np.ndarray:
+    """Rational iterates x (..., n) toward the largest root of each secular
+    equation f(x) = q - x + sum_i w_i / (x - lam_i), with lam (..., 1, s)
+    ascending, w (..., n, s) >= 0 and q (..., 1).
+
+    Each iterate stays right of that root (Bunch, Nielsen & Sorensen 1978):
+    the start solves the one-pole quadratic with the top pole's own weight
+    and the other terms frozen at that pole, which overstates them, and each
+    step solves the one-pole model c/(x - top) + e matching the sum's value
+    and slope at x, which lies above the sum right of the top pole.  The
+    Weyl bound max(top, q) + |z| caps the start, and every iterate keeps
+    a few eps off the top pole, which a deflated top weight would otherwise
+    reach (the largest eigenvalue is then the pole itself, and f < 0 just
+    right of it says so to _root_bounds).
+    """
+    top = lam[..., -1]
+    floor = _EPS * (np.abs(top) + np.abs(q))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        frozen = (w[..., :-1] / (top[..., np.newaxis] - lam[..., :-1])).sum(axis=-1)
+        t = np.fmin(
+            _pole_root(q - top + frozen, w[..., -1]),
+            np.maximum(top, q) - top + np.sqrt(w.sum(axis=-1)),
+        )
+        x = top + np.fmax(t, floor)
+        for _ in range(_SECULAR_STEPS):
+            d = x[..., np.newaxis] - lam
+            u = w / d
+            t = x - top
+            c = (u / d).sum(axis=-1) * t * t
+            x = top + np.fmax(_pole_root(q - top + u.sum(axis=-1) - c / t, c), floor)
+    return x
+
+
+def _inner_root(lam: np.ndarray, w: np.ndarray, q: float, j: int) -> np.ndarray:
+    """Rational iterates x (n,) toward the root of each secular equation
+    (as in _top_root, lam (s,)) between the poles lam[j - 1] and lam[j].
+
+    From the midpoint, whose sign of f tells which pole is nearer the root,
+    each step solves the two-pole model a + P/(x - lo) + S/(x - hi) of the
+    fixed weight method (Bunch, Nielsen & Sorensen 1978): the nearer pole
+    keeps its own weight, and the other pole's weight and a match the value
+    and slope of f at x.  The model's root always lies between the poles.
+    """
+    lo, hi = lam[j - 1], lam[j]
+    gap = hi - lo
+    x = np.full(w.shape[0], lo + 0.5 * gap)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(_SECULAR_STEPS):
+            d = x[:, np.newaxis] - lam
+            u = w / d
+            du = u / d
+            f = q - x + u.sum(axis=1)
+            if step == 0:
+                near_hi = f > 0.0
+            slope = 1.0 + du.sum(axis=1)
+            P = np.where(near_hi, (slope - du[:, j]) * (x - lo) ** 2, w[:, j - 1])
+            S = np.where(near_hi, w[:, j], (slope - du[:, j - 1]) * (x - hi) ** 2)
+            a = f - P / (x - lo) - S / (x - hi)
+            # the root in (0, gap) of a*t**2 + (P + S - a*gap)*t - P*gap
+            B = P + S - a * gap
+            sq = np.sqrt(B * B + 4.0 * a * P * gap)
+            x = lo + np.where(B > 0.0, 2.0 * P * gap / (B + sq), (sq - B) / (2.0 * a))
+    return x
+
+
+def _root_bounds(
+    lam: np.ndarray,
+    w: np.ndarray,
+    q: np.ndarray | float,
+    x: np.ndarray,
+    below: np.ndarray | float,
+    above: np.ndarray | float,
+    lo_cap: np.ndarray | float,
+    hi_cap: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the eigenvalue of each arrowhead [[diag(lam), z], [z^H, q]]
+    (w = |z|**2, shapes of _top_root) that interlacing puts in [lo_cap,
+    hi_cap] and whose root of f lies between the poles below and above,
+    from iterates x; before the matrix roundoff term.
+
+    By inertia, an arrowhead has #{lam_i < x} + [f(x) < 0] eigenvalues below
+    any x off the poles, and f' <= -1 between poles.  So for an iterate
+    strictly between below and above, the sign of f tells on which side of x
+    that eigenvalue lies, and it is within |f(x)| of x (both up to the
+    roundoff of f, whose s + 2 terms each carry a few eps); an iterate
+    elsewhere certifies nothing.
+    """
+    inside = (x > below) & (x < above)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = w / (x[..., np.newaxis] - lam)
+        f = q - x + u.sum(axis=-1)
+        f_err = (lam.shape[-1] + 4) * _EPS * (np.abs(q) + np.abs(x) + np.abs(u).sum(axis=-1))
+        radius = np.where(inside, np.abs(f) + f_err, np.inf)
+        lo = np.where(inside & (f - f_err > 0.0), x, x - radius)
+        hi = np.where(inside & (f + f_err < 0.0), x, x + radius)
+    return np.fmax(lo, lo_cap), np.fmin(hi, hi_cap)
+
+
+def _outer_bounds(
+    lam: np.ndarray, w: np.ndarray, q: np.ndarray | float, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_root_bounds for the largest eigenvalue, which lies right of every pole
+    and in [max(top, q), max(top, q) + |z|] (interlacing, the diagonal, Weyl)."""
+    top = lam[..., -1]
+    base = np.maximum(top, q)
+    return _root_bounds(lam, w, q, x, top, np.inf, base, base + np.sqrt(w.sum(axis=-1)))
+
+
+def _secular_screen(
+    L: int, table: np.ndarray, chosen: np.ndarray, cands: np.ndarray, karr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds lo <= cond <= hi for adding each of cands (n,) to
+    the chosen rows (s,), s >= 1, q >= 2.
+
+    The chosen rows' Gram G = V diag(lam) V^H is bordered by
+    b_c = D[(chosen - c) mod L] and q, which V turns into the arrowhead with
+    z = V^H b_c.  sigma_max**2 is its largest eigenvalue.  sigma_min**2 is
+    its (s + 2 - min(s + 1, q))-th smallest: while s < q the smallest, the
+    top one of the negated arrowhead (stacked with the top one), and after
+    that the root between lam[s - q] and lam[s - q + 1].  All bounds widen
+    by the roundoff term at _CERT_ERR, which covers the table, eigh, z and
+    the SVD that the bounds stand in for.
+    """
+    q, s = len(karr), len(chosen)
+    lam, V = np.linalg.eigh(table[(chosen[:, np.newaxis] - chosen) % L])
+    z = V.conj().T @ table[(chosen[:, np.newaxis] - cands) % L]
+    w = (z.real**2 + z.imag**2).T
+    if s < q:
+        lam2 = np.stack((lam, -lam[::-1]))[:, np.newaxis]
+        w2 = np.stack((w, w[:, ::-1]))
+        q2 = np.array([[q], [-q]], dtype=float)
+        lo2, hi2 = _outer_bounds(lam2, w2, q2, _top_root(lam2, w2, q2))
+        top_lo, top_hi, bot_lo, bot_hi = lo2[0], hi2[0], -hi2[1], -lo2[1]
+    else:
+        top_lo, top_hi = _outer_bounds(lam, w, q, _top_root(lam, w, q))
+        j = s - q + 1
+        x = _inner_root(lam, w, q, j)
+        bot_lo, bot_hi = _root_bounds(lam, w, q, x, lam[j - 1], lam[j], lam[j - 1], lam[j])
+    theta = 2 * np.pi * max(chosen.max(), cands.max()) * karr.max() / L
+    err = _CERT_ERR * (s + 1) * (1.0 + theta) * top_hi
+    top_lo, top_hi, bot_lo, bot_hi = top_lo - err, top_hi + err, bot_lo - err, bot_hi + err
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(bot_hi > 0.0, np.sqrt(top_lo / bot_hi), np.inf)
+        hi = np.where(bot_lo > 0.0, np.sqrt(top_hi / bot_lo), np.inf)
+    return lo, hi
+
+
+def _check_search(L: int, p: int, k: SpectralIndexSet) -> None:
+    if not 1 <= p <= L:
+        raise ValueError(f"pattern search needs 1 <= p <= L; got p={p}, L={L}")
+    if k.L != L:
+        raise ValueError(f"cell set k is built for L={k.L}, not for the search's L={L}")
     if not k.k:
         raise ValueError("pattern search needs at least one active cell; k is empty")
 
@@ -148,10 +353,12 @@ def exhaustive_pattern_search(
 ) -> PatternSearchResult:
     """Minimize cond over all C(L, p) offset sets; ties go to the smallest C.
 
-    Refuses when the candidate count exceeds the budget; use
+    Scores candidates through the stacked screen (module docstring).  Raises
+    ValueError unless 1 <= p <= L, k is built for L and k is not empty, and
+    refuses when the candidate count exceeds the budget; use
     sfs_pattern_search for large problems.
     """
-    _require_cells(k)
+    _check_search(L, p, k)
     total = math.comb(L, p)
     if total > budget:
         raise SearchBudgetError(
@@ -184,23 +391,30 @@ def sfs_pattern_search(
     gives the smallest condition number on the columns k.  Candidates whose
     SVD conds are exactly equal resolve to the smallest offset; near ties at
     roundoff are decided by the SVD's roundoff.  Costs p*L - p*(p-1)/2
-    evaluations; the Gram screen (module docstring) sends only the near-best
-    few of each step to the SVD.
+    evaluations.  Each step screens its candidates (module docstring): the
+    secular screen bounds every candidate's cond from one eigh of the chosen
+    rows' Gram, the stacked screen (small steps) from one eigvalsh per
+    candidate, and only the near-best few go to the SVD.  Raises ValueError
+    unless 1 <= p <= L, k is built for L and k is not empty.
     """
-    if p > L:
-        raise ValueError("p must not exceed L")
-    _require_cells(k)
+    _check_search(L, p, k)
     karr = np.asarray(k.k)
+    q = len(karr)
     table = _difference_table(L, karr)
     cands = np.arange(L)
     chosen = np.zeros(0, dtype=int)
     evaluations = 0
     final_cond = math.inf
     for _ in range(p):
+        r = len(chosen) + 1
         rest = np.repeat(chosen[np.newaxis], len(cands), axis=0)
         trial = np.sort(np.concatenate((rest, cands[:, np.newaxis]), axis=1), axis=1)
         # the first of exactly equal conds is the smallest offset
-        i, final_cond = _argmin_cond(L, trial, karr, table)
+        if r > 1 and q > 1 and len(cands) * r**2 >= _SECULAR_MIN_WORK:
+            bounds = _secular_screen(L, table, chosen, cands, karr)
+            i, final_cond = _svd_argmin(L, trial, karr, *bounds)
+        else:
+            i, final_cond = _argmin_cond(L, trial, karr, table)
         evaluations += len(cands)
         chosen, cands = trial[i], cands[cands != cands[i]]
     return PatternSearchResult(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -19,7 +20,17 @@ from subnyq import (
     sfs_cost,
     sfs_pattern_search,
 )
-from subnyq.patterns import _argmin_cond, _difference_table, anchor_support, draw_anchors
+from subnyq import patterns
+from subnyq.patterns import (
+    _argmin_cond,
+    _difference_table,
+    _inner_root,
+    _outer_bounds,
+    _root_bounds,
+    _secular_screen,
+    anchor_support,
+    draw_anchors,
+)
 from subnyq.sensing import _auto_pattern
 
 K16 = SpectralIndexSet((3, 4, 5, 10, 11), 16)
@@ -52,6 +63,7 @@ def svd_conds(L, trials, k):
     return np.where(s[..., 0] == 0.0, np.inf, out)
 
 
+@functools.lru_cache(maxsize=None)
 def svd_sfs(L, p, k):
     """The greedy search with the SVD on every candidate (reference copy)."""
     chosen, evaluations, cond = [], 0, math.inf
@@ -65,6 +77,7 @@ def svd_sfs(L, p, k):
     return tuple(chosen), cond, evaluations
 
 
+@functools.lru_cache(maxsize=None)
 def svd_exhaustive(L, p, k):
     """The exhaustive search with the SVD on every candidate (reference)."""
     combos = list(itertools.combinations(range(L), p))
@@ -83,11 +96,20 @@ def random_design(rng, L_max, p_max):
     return L, p, SpectralIndexSet(tuple(sorted(rng.choice(cells, size=q, replace=False).tolist())), L)
 
 
+@pytest.fixture(params=["crossover", "secular_everywhere"])
+def screens(request, monkeypatch):
+    """Run a test with the measured screen crossover, then with the secular
+    screen on every greedy step it can serve."""
+    if request.param == "secular_everywhere":
+        monkeypatch.setattr(patterns, "_SECULAR_MIN_WORK", 0)
+    return request.param
+
+
 class TestScreenedSearchMatchesSvd:
-    """The Gram screen picks what the SVD on every candidate picks, with a
+    """The screens pick what the SVD on every candidate picks, with a
     bit-equal cond and the same evaluation count."""
 
-    def test_random_designs(self):
+    def test_random_designs(self, screens):
         rng = np.random.default_rng(2024)
         n_exhaustive = 0
         for _ in range(300):
@@ -109,7 +131,7 @@ class TestScreenedSearchMatchesSvd:
             res = exhaustive_pattern_search(L, p, k)
             assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(L, p, k), (L, p, k.k)
 
-    def test_rank_deficient_designs(self):
+    def test_rank_deficient_designs(self, screens):
         # all-even cells at L = 8: rows c and c + 4 coincide, so candidates
         # with both report inf, and many patterns tie
         n_inf = 0
@@ -125,7 +147,7 @@ class TestScreenedSearchMatchesSvd:
         assert n_inf > 0
 
     @pytest.mark.parametrize("L,p", [(20, 4), (20, 5), (20, 6), (200, 20)])
-    def test_planner_designs(self, L, p):
+    def test_planner_designs(self, L, p, screens):
         for seed in range(100):
             # the design cells of sensing._auto_pattern
             anchors = draw_anchors(max(p - 1, 1), 0, L, np.random.default_rng([seed, L, p]))
@@ -180,6 +202,127 @@ class TestScreenedSearchMatchesSvd:
         monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
         _auto_pattern(200, 20, 2.0, 5)
         assert sum(scored) <= 300
+
+    def test_secular_screen_spares_most_eigvalsh(self, monkeypatch):
+        # the criterion-9 design: the stacked screen scores only the Grams of
+        # the steps below the crossover (r <= 4, 794 of 3810)
+        stacked = []
+        argmin_cond = patterns._argmin_cond
+        monkeypatch.setattr(
+            patterns, "_argmin_cond", lambda L, t, k, d: stacked.append(len(t)) or argmin_cond(L, t, k, d)
+        )
+        assert _auto_pattern(200, 20, 2.0, 5).C[:4] == (0, 13, 16, 29)
+        assert sum(stacked) <= 1400
+
+
+def certified(L, karr, chosen, cands=None):
+    """_secular_screen's bounds for adding each of cands to chosen, after
+    checking that each candidate's SVD cond lies inside its bounds."""
+    karr, chosen = np.asarray(karr), np.sort(np.asarray(chosen))
+    if cands is None:
+        cands = np.setdiff1d(np.arange(L), chosen)
+    lo, hi = _secular_screen(L, _difference_table(L, karr), chosen, cands, karr)
+    trials = np.sort(np.hstack((np.repeat(chosen[np.newaxis], len(cands), axis=0), cands[:, np.newaxis])), axis=1)
+    conds = svd_conds(L, trials, SpectralIndexSet(tuple(karr.tolist()), L))
+    bad = ~((lo <= conds) & (conds <= hi))
+    assert not bad.any(), (L, karr.tolist(), chosen.tolist(), cands[bad], lo[bad], conds[bad], hi[bad])
+    return lo, hi, conds
+
+
+def far_shifted_case(rng, s):
+    """q cells at a random far shift at L = 10**5 (phase exponents m*k near
+    10**10), s chosen rows and 400 candidates in a 30000-offset window."""
+    L, q = 10**5, int(rng.integers(2, 7))
+    karr = np.arange(q) + int(rng.integers(L - q))
+    chosen = rng.choice(30000, min(s, 3 * q), replace=False)
+    cands = np.setdiff1d(rng.choice(30000, 400, replace=False), chosen)
+    return L, karr, chosen, cands
+
+
+@st.composite
+def secular_cases(draw):
+    """(L, karr, chosen, cands): random cells, all-even cells (rows c and
+    c + L/2 coincide), evenly spaced cells (most weights zero, the chosen
+    Gram often q*I: deflation and clustered poles) or far-shifted cells."""
+    kind = draw(st.sampled_from(["random", "all_even", "evenly_spaced", "far_shifted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.integers(1, 40))
+    if kind == "far_shifted":
+        return far_shifted_case(rng, s)
+    if kind == "evenly_spaced":
+        q, m = draw(st.integers(2, 8)), draw(st.integers(2, 10))
+        L = q * m
+        karr = np.arange(0, L, m) + draw(st.integers(0, m - 1))
+    else:
+        L = draw(st.integers(4, 60))
+        L -= L % 2 if kind == "all_even" else 0
+        cells = np.arange(0, L, 2) if kind == "all_even" else np.arange(L)
+        q = draw(st.integers(2, len(cells)))
+        karr = np.sort(rng.choice(cells, q, replace=False))
+    chosen = rng.choice(L, min(s, L - 1), replace=False)
+    return L, karr, chosen, None
+
+
+class TestSecularCertificate:
+    """Every candidate's SVD cond lies inside the secular screen's bounds."""
+
+    def test_seeded_cases(self):
+        rng = np.random.default_rng(10)
+        for _ in range(150):
+            L = int(rng.integers(4, 120))
+            q = int(rng.integers(2, min(L - 1, 25) + 1))
+            karr = np.sort(rng.choice(L, q, replace=False))
+            # before r = q and after it
+            s = int(rng.integers(1, q)) if rng.random() < 0.5 else int(rng.integers(q, min(L - 1, 3 * q) + 1))
+            certified(L, karr, rng.choice(L, s, replace=False))
+        for s in (1, 4, 5, 9):
+            # coincident rows c and c + 8 among the chosen ones
+            certified(16, np.arange(0, 16, 2)[:5], np.r_[0, 8, 3, 11, 6, 1, 9, 13, 14][:s])
+            # evenly spaced cells: b_c = 0 unless 4 | (c - c_a)
+            certified(32, np.arange(1, 32, 8), np.r_[0, 1, 2, 3, 4, 8, 9, 17, 26][:s])
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            certified(*far_shifted_case(rng, int(rng.integers(1, 18))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(secular_cases())
+    def test_generated_cases(self, case):
+        certified(*case)
+
+    @pytest.mark.parametrize("L,p", [(20, 6), (32, 12), (200, 20)])
+    def test_shortlists_as_short_as_the_stacked_screens(self, L, p, monkeypatch):
+        # the bounds are tight enough that the SVD scores about as many
+        # candidates behind the secular screen as behind the stacked one
+        scored = []
+        cond_stack = patterns._cond_stack
+        monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
+        counts = []
+        for work in (math.inf, 0):
+            monkeypatch.setattr(patterns, "_SECULAR_MIN_WORK", work)
+            scored.clear()
+            for seed in range(10):
+                k = anchor_support(draw_anchors(p - 1, 0, L, np.random.default_rng([seed, L, p])), 0, L)
+                sfs_pattern_search(L, p, k)
+            counts.append(sum(scored))
+        assert counts[1] <= 1.05 * counts[0]
+
+    def test_iterate_off_its_bracket_certifies_nothing(self):
+        # an iterate at another root of f has f(x) = 0 but lies outside the
+        # poles that bracket the sought eigenvalue
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            lam = np.sort(rng.uniform(1.0, 10.0, 5))
+            z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            q = float(rng.uniform(1.0, 10.0))
+            mu = np.linalg.eigvalsh(np.block([[np.diag(lam), z[:, None]], [z.conj()[None], np.array([[q]])]]))
+            w = np.abs(z[np.newaxis]) ** 2
+            lo, hi = _outer_bounds(lam, w, q, mu[-2:-1])
+            assert lo[0] - 1e-12 <= mu[-1] <= hi[0] + 1e-12
+            lo, hi = _root_bounds(lam, w, q, mu[-1:], lam[0], lam[1], lam[0], lam[1])
+            assert lo[0] - 1e-12 <= mu[1] <= hi[0] + 1e-12
+            # while the bounds from the interior iterates hold it
+            lo, hi = _root_bounds(lam, w, q, _inner_root(lam, w, q, 1), lam[0], lam[1], lam[0], lam[1])
+            assert lo[0] - 1e-12 <= mu[1] <= hi[0] + 1e-12
 
 
 class TestPinnedPatterns:
@@ -310,6 +453,19 @@ class TestSfsSearch:
     def test_empty_cell_set_rejected(self):
         with pytest.raises(ValueError, match="k is empty"):
             sfs_pattern_search(8, 2, SpectralIndexSet((), 8))
+
+
+class TestSearchInputs:
+    @pytest.mark.parametrize("search", [sfs_pattern_search, exhaustive_pattern_search])
+    @pytest.mark.parametrize("L,p", [(4, 5), (8, 0), (8, -1)])
+    def test_p_outside_1_to_L_rejected(self, search, L, p):
+        with pytest.raises(ValueError, match="1 <= p <= L"):
+            search(L, p, SpectralIndexSet((0, 1), 4))
+
+    @pytest.mark.parametrize("search", [sfs_pattern_search, exhaustive_pattern_search])
+    def test_cells_of_another_period_rejected(self, search):
+        with pytest.raises(ValueError, match="built for L=4"):
+            search(8, 2, SpectralIndexSet((0, 1), 4))
 
 
 class TestSfsCost:
