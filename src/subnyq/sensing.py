@@ -197,27 +197,34 @@ def sense(cfg: SensingConfig, x: TimeSeries) -> SensingReport:
     )
 
 
-def _coset_trial(
-    pattern: SamplingPattern, n_blocks: int, snr_db: float, seed_key: list[int]
-) -> tuple[int, np.ndarray]:
-    """One pd trial: a unit-noise tone in a random channel, as coset samples.
+def _coset_trials(
+    pattern: SamplingPattern, n_blocks: int, snr_db: float, trials: int, key: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One grid point's pd trials: unit-noise tones in random channels, as coset samples.
 
-    Draws the channel, the phase and n_blocks*L complex noise samples in that
-    order, then evaluates the tone and keeps the noise only at the coset
-    positions j*L + c_i: elementwise the values coset_decompose selects from
-    the full-rate capture.  Returns the channel and the (p, n_blocks) samples.
+    Channels, phases and (trials, 2, p, n_blocks) real noise each come from
+    their own child of SeedSequence(key), with the trial as the leading axis,
+    so the first t trials of any draw equal a draw of t.  Only the samples at
+    the coset positions j*L + c_i are drawn.  Returns the channels, the
+    phases and the (trials, p, n_blocks) samples.
     """
-    rng = np.random.default_rng(seed_key)
-    L = pattern.L
-    n_samples = n_blocks * L
-    m = int(rng.integers(L))
+    L, p = pattern.L, pattern.p
+    s_channel, s_phase, s_noise = np.random.SeedSequence(key).spawn(3)
+    channels = np.random.default_rng(s_channel).integers(L, size=trials)
+    phases = np.random.default_rng(s_phase).uniform(0.0, 2.0 * np.pi, size=trials)
+    noise = np.random.default_rng(s_noise).standard_normal((trials, 2, p, n_blocks))
+    samples = np.empty((trials, p, n_blocks), dtype=np.complex128)
+    samples.real, samples.imag = noise[:, 0], noise[:, 1]
+    samples *= math.sqrt(0.5)
+    # The tone exp(i(w*n + phase)), w = 2*pi*(m + 1/2)/L, at n = j*L + c_i is
+    # exp(i(w*c_i + phase)) * exp(i*w*j*L), and w*L = pi*(2m + 1) makes the
+    # second factor exactly (-1)**j.
     amp = math.sqrt(10.0 ** (snr_db / 10.0))  # unit total noise power
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    n = np.arange(n_blocks) * L + np.asarray(pattern.C)[:, np.newaxis]
-    tone = amp * np.exp(1j * (2.0 * np.pi * (m + 0.5) / L * n + phase))
-    re = rng.standard_normal(n_samples)[n]
-    im = rng.standard_normal(n_samples)[n]
-    return m, tone + (re + 1j * im) / math.sqrt(2.0)
+    w = 2.0 * np.pi * (channels + 0.5) / L
+    cell = amp * np.exp(1j * (w[:, None] * np.asarray(pattern.C) + phases[:, None]))
+    samples[..., 0::2] += cell[..., None]
+    samples[..., 1::2] -= cell[..., None]
+    return channels, phases, samples
 
 
 def _detected(report: blind.BlindReport, channel: int, metric: str) -> bool:
@@ -244,16 +251,24 @@ def pd_sweep(
     (metric="contains").  Each compression ratio must give an integer coset
     count p = cr*L >= 2.  Cells are selected in the top-q form, which
     remains meaningful at p = 2 where threshold selection cannot isolate a
-    single wide peak.  Per-trial RNG streams derive from (seed, point,
-    trial), and all trials of one compression ratio run as one batch of
-    estimate_support_batch, whose reports do not depend on what else is in
-    the batch; so results do not depend on batching or on which other grid
-    points are swept.
+    single wide peak.  A point's random streams are keyed on (seed, p, SNR
+    value) and draw only the samples the ADCs take, with the trial as the
+    leading axis: so its counts do not depend on which other grid points are
+    swept or in what order, and the first t trials of a run with more trials
+    are the t trials of a run with `trials=t`.  (Counts differ from versions
+    that keyed per-trial streams on grid indices.)  All trials of one
+    compression ratio run as one batch of estimate_support_batch, whose
+    reports do not depend on what else is in the batch.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1 (got {trials!r})")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer (got {seed!r})")
     if metric not in ("exact", "contains"):
         raise ValueError("metric must be 'exact' or 'contains'")
+    snrs = [float(s) for s in snr_db_list]
+    if not all(math.isfinite(s) for s in snrs):
+        raise ValueError(f"snr_db_list must hold finite values (got {snrs})")
     L = cfg_template.L
     patterns: list[tuple[float, SamplingPattern]] = []
     for cr in cr_list:
@@ -263,22 +278,21 @@ def pd_sweep(
             raise ValueError(f"CR={cr} must give an integer p = CR*L >= 2 (got {p_exact})")
         pat = _auto_pattern(L, p, cfg_template.f_max, cfg_template.seed + p)
         patterns.append((float(cr), pat))
-    snrs = [float(s) for s in snr_db_list]
     rows: list[PdPoint] = []
-    for i_cr, (cr, pat) in enumerate(patterns):
+    for cr, pat in patterns:
         stack = np.empty((len(snrs) * trials, pat.p, n_blocks), dtype=np.complex128)
-        channels = []
+        channels = np.empty(len(snrs) * trials, dtype=np.int64)
         for i_snr, snr_db in enumerate(snrs):
-            for t in range(trials):
-                key = [seed, i_cr, i_snr, t]
-                channel, stack[i_snr * trials + t] = _coset_trial(pat, n_blocks, snr_db, key)
-                channels.append(channel)
+            sl = slice(i_snr * trials, (i_snr + 1) * trials)
+            # the SNR enters as its float64 bits, -0.0 read as 0.0
+            key = [int(seed), pat.p, int(np.float64(snr_db + 0.0).view(np.uint64))]
+            channels[sl], _, stack[sl] = _coset_trials(pat, n_blocks, snr_db, trials, key)
         reports = blind.estimate_support_batch(
             CosetStreams(stack, pat),
             order_method=cfg_template.order_method,
             localize_method=cfg_template.localize_method,
         )
-        hits = [_detected(r, c, metric) for r, c in zip(reports, channels)]
+        hits = [_detected(r, c, metric) for r, c in zip(reports, channels.tolist())]
         for i_snr, snr_db in enumerate(snrs):
             det = sum(hits[i_snr * trials : (i_snr + 1) * trials])
             pd = det / trials

@@ -133,6 +133,18 @@ class TestSense:
             sense(cfg, TimeSeries(np.zeros(100, dtype=complex), 1.0))
 
 
+def _coset_tones(pattern, n_blocks, channels, phases):
+    """Unit tones at the cell centres of `channels`, decomposed from the full-rate capture."""
+    L = pattern.L
+    n = np.arange(n_blocks * L)
+    tones = []
+    for m, phase in zip(channels, phases):
+        # exp(i(2*pi*(m + 1/2)*n/L + phase)), its exponent reduced mod 2*pi in integers
+        x = np.exp(1j * (np.pi * ((2 * int(m) + 1) * n % (2 * L)) / L + phase))
+        tones.append(coset_decompose(TimeSeries(x, pattern.T), pattern).samples)
+    return np.array(tones)
+
+
 class TestPdSweep:
     def test_rows_and_determinism(self):
         cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
@@ -162,29 +174,77 @@ class TestPdSweep:
         res = pd_sweep(cfg, [30.0], [0.3], trials=10, seed=7, n_blocks=60, metric="contains")
         assert res.rows[0].pd >= 0.9
 
-    @pytest.mark.parametrize("key,snr_db", [([5, 1, 2, 3], 7.5), ([77, 0, 6, 399], 30.0), ([0, 2, 0, 0], -10.0)])
-    def test_coset_trial_is_the_decomposed_capture(self, key, snr_db):
-        from subnyq.sensing import _coset_trial
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.0}, "seed"),
+            ({"trials": 2.5}, "trials"),
+            ({"trials": 0}, "trials"),
+            ({"snr_db_list": [float("nan")]}, "snr_db_list"),
+            ({"snr_db_list": [0.0, -float("inf")]}, "snr_db_list"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, kwargs, name):
+        cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
+        args = {"snr_db_list": [0.0], "cr_list": [0.2], "trials": 5, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            pd_sweep(cfg, **args)
+
+    @pytest.mark.parametrize("key", [[5, 6, 1], [77, 4, 2**64 - 1], [0, 2, 0]])
+    def test_coset_trials_sample_the_tone_at_the_coset_positions(self, key):
+        from subnyq.sensing import _coset_trials
 
         pattern = SamplingPattern(20, (0, 3, 7, 11, 16, 19), 0.05)
-        L, n_blocks = 20, 37
-        channel, samples = _coset_trial(pattern, n_blocks, snr_db, key)
-        # the full-rate capture, drawn in the same order from the same key
-        rng = np.random.default_rng(key)
-        m = int(rng.integers(L))
+        n_blocks = 37
+        ch_hi, ph_hi, hi = _coset_trials(pattern, n_blocks, 30.0, 12, key)
+        ch_lo, ph_lo, lo = _coset_trials(pattern, n_blocks, -20.0, 12, key)
+        # one key: the same channels, phases and noise, so the difference is
+        # the tone alone
+        assert np.array_equal(ch_hi, ch_lo) and np.array_equal(ph_hi, ph_lo)
+        tone = (hi - lo) / (10.0**1.5 - 10.0**-1)
+        ref = _coset_tones(pattern, n_blocks, ch_hi, ph_hi)
+        assert tone.shape == ref.shape == (12, pattern.p, n_blocks)
+        assert np.max(np.abs(tone - ref)) <= 1e-12
+
+    def test_coset_trials_are_prefix_stable(self):
+        from subnyq.sensing import _coset_trials
+
+        pattern = SamplingPattern(20, (0, 4, 5, 13), 0.05)
+        full = _coset_trials(pattern, 30, 5.0, 40, [9, 4, 3])
+        for t in (1, 13):
+            part = _coset_trials(pattern, 30, 5.0, t, [9, 4, 3])
+            for a, b in zip(part, full):
+                assert a.tobytes() == b[:t].tobytes()
+
+    def test_coset_trials_distribution(self):
+        from subnyq.sensing import _coset_trials
+
+        pattern = SamplingPattern(20, (0, 3, 7, 11, 16, 19), 0.05)
+        trials, n_blocks, snr_db = 1000, 150, 3.0
+        channels, phases, samples = _coset_trials(pattern, n_blocks, snr_db, trials, [4, 6, 8])
         amp = math.sqrt(10.0 ** (snr_db / 10.0))
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        n = np.arange(n_blocks * L)
-        tone = amp * np.exp(1j * (2.0 * np.pi * (m + 0.5) / L * n + phase))
-        noise = (rng.standard_normal(len(n)) + 1j * rng.standard_normal(len(n))) / math.sqrt(2.0)
-        ref = coset_decompose(TimeSeries(tone + noise, pattern.T), pattern)
-        assert channel == m
-        assert samples.shape == ref.samples.shape
-        assert samples.tobytes() == ref.samples.tobytes()
+        z = (samples - amp * _coset_tones(pattern, n_blocks, channels, phases)).ravel()
+        se = 1.0 / math.sqrt(z.size)  # times the per-sample standard deviation
+        re, im = z.real, z.imag
+        assert abs(np.mean(np.abs(z) ** 2) - 1.0) <= 5 * se  # sd of |z|**2 is 1
+        assert abs(np.mean(re**2) - 0.5) <= 5 * se * math.sqrt(0.5)
+        assert abs(np.mean(im**2) - 0.5) <= 5 * se * math.sqrt(0.5)
+        assert abs(np.mean(re * im)) <= 5 * se * 0.5
+        assert abs(np.mean(re)) <= 5 * se * math.sqrt(0.5)
+        assert abs(np.mean(im)) <= 5 * se * math.sqrt(0.5)
+        counts = np.bincount(channels, minlength=20)
+        assert len(counts) == 20 and counts.min() > 0
+        assert np.all(np.abs(counts - trials / 20) <= 5 * math.sqrt(trials * 0.05 * 0.95))
+        assert np.all((0.0 <= phases) & (phases < 2 * np.pi))
+        assert abs(np.mean(phases) - np.pi) <= 5 * 2 * np.pi / math.sqrt(12 * trials)
 
     def test_row_independent_of_other_grid_points(self):
         cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
-        alone = pd_sweep(cfg, [0.0], [0.1], trials=40, seed=3, n_blocks=60)
-        grid = pd_sweep(cfg, [0.0, 30.0], [0.1, 0.2], trials=40, seed=3, n_blocks=60)
-        assert 0 < alone.rows[0].detections < 40
-        assert grid.rows[0] == alone.rows[0]
+        grid = pd_sweep(cfg, [-5.0, 0.0], [0.1, 0.2], trials=200, seed=3, n_blocks=60)
+        rows = {(r.cr, r.snr_db): r for r in grid.rows}
+        assert any(0 < r.detections < r.trials for r in grid.rows)
+        # first in both lists, first in neither, and -0.0 keyed as 0.0
+        for cr, snr_db in [(0.1, -5.0), (0.2, 0.0), (0.2, -0.0)]:
+            alone = pd_sweep(cfg, [snr_db], [cr], trials=200, seed=3, n_blocks=60)
+            assert alone.rows[0] == rows[(cr, snr_db)]
