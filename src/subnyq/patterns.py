@@ -6,28 +6,27 @@ cond over candidate offset sets: exhaustively for small problems, greedily
 (sequential forward selection) otherwise, and from a randomized candidate
 support when the true support is unknown.
 
-Both searches score a stack of candidates in two passes.  A screen bounds
-each candidate's cond; the exact SVD then runs only on the candidates whose
-lower bound reaches the smallest upper bound (times 1 + _SCREEN_RTOL), and
-decides among them in row order.  A stack whose best screened cond is past
-what the screen's error bound trusts (about 1e3) goes to the SVD whole.  The
-pick and the reported cond are those of an SVD over every candidate.
+Both searches score a stack of candidates in two passes.  A screen returns
+certified bounds lo <= cond <= hi for every candidate: its eigenvalue bounds
+widen by one roundoff term (at _CERT_ERR) that covers the SVD's own
+roundoff, so each candidate's SVD cond lies inside them.  The exact SVD then
+runs only on the candidates whose lo reaches the smallest hi (every
+candidate when each hi is infinite) and decides among them in row order, so
+the pick and the reported cond are those of an SVD over every candidate.
 
-There are two screens.  The stacked screen takes cond from one eigvalsh per
-candidate row Gram, gathered from one table of offset differences; its
-point value is trusted to the _SCREEN_RTOL margin.  The secular screen
-serves a greedy step that adds row r to s = r - 1 chosen rows: every
-candidate's Gram is the chosen rows' Gram bordered by one row, so one eigh
-of that shared s x s Gram turns each candidate into an arrowhead matrix.
-Its eigenvalues are the roots of a secular equation f(x) = 0 with f' <= -1
-between poles, so an iterate x between the two poles that bracket a root is
-within |f(x)| of it.  A few vectorized rational steps approach sigma_max**2
-(the largest root) and sigma_min**2 (the smallest root while r <= q, the
-root between the two smallest nonzero poles after that); with a roundoff
-term this certifies an interval for every candidate's cond.  The exhaustive
-search, the first greedy step, a single cell and steps with fewer than
-_SECULAR_MIN_WORK candidates * r**2 (where eigvalsh is cheaper) keep the
-stacked screen.
+There are two screens.  The stacked screen takes the extreme eigenvalues of
+every candidate's row Gram from one eigvalsh, gathered from one table of
+offset differences.  The secular screen serves a greedy step that adds row r
+to s = r - 1 chosen rows: every candidate's Gram is the chosen rows' Gram
+bordered by one row, so one eigh of that shared s x s Gram turns each
+candidate into an arrowhead matrix.  Its eigenvalues are the roots of a
+secular equation f(x) = 0 with f' <= -1 between poles, so an iterate x
+between the two poles that bracket a root is within |f(x)| of it.  A few
+vectorized rational steps approach sigma_max**2 (the largest root) and
+sigma_min**2 (the smallest root while r <= q, the root between the two
+smallest nonzero poles after that).  The exhaustive search, the first greedy
+step, a single cell and steps with fewer than _SECULAR_MIN_WORK candidates *
+r**2 (where eigvalsh is cheaper) keep the stacked screen.
 """
 
 from __future__ import annotations
@@ -57,26 +56,19 @@ __all__ = [
 
 # relative singular-value floor below which a matrix counts as rank-deficient
 RANK_RTOL = 1e-12
-# Each difference-table entry sums q unit phases whose exponents are reduced
-# mod L first, so it is exact to about 15*q*eps whatever L is.  The Gram's
-# lmax is at least q (its diagonal), so the gather and eigvalsh move every
-# eigenvalue by about 15*r*eps*lmax, and a screen cond by a relative
-# _SCREEN_ERR * r * cond**2 (3.5e-8 at r = 20, cond = 1e3).  The shortlist
-# margin _SCREEN_RTOL holds the SVD's argmin while it exceeds twice that
-# error; a step whose best screen cond leaves less than a tenfold safety on
-# that (cond about 1e3 at r = 30) goes to the SVD whole.
+# Both screens widen their eigenvalue bounds by the roundoff term
+# _CERT_ERR * r * (1 + theta) * lmax, theta = 2*pi*max(c)*max(k)/L the
+# largest phase the SVD's matrix forms; by Weyl's theorem it covers every
+# error below.  Each difference-table entry sums q unit phases whose
+# exponents are reduced mod L first, so it is exact to about
+# 15*q*eps <= 15*eps*lmax whatever L is (lmax is at least q, the Gram's
+# diagonal), and the gather from it is exact.  eigvalsh, eigh and the SVD
+# are backward stable to a few r*eps*lmax.  The SVD's matrix takes its
+# phases unreduced, so its entries are off by up to (3*theta + 2)*eps, which
+# moves sigma**2 by up to 2*sqrt(r)*(3*theta + 2)*eps*lmax.  64 covers the
+# sum with room; the roundoff of f itself is bounded apart (_root_bounds).
+# _SECULAR_STEPS rational steps bring |f| below that term on separated poles.
 _EPS = np.finfo(float).eps
-_SCREEN_RTOL = 1e-6
-_SCREEN_ERR = 8 * _EPS
-# The secular screen's roundoff term: its eigenvalue bounds widen by
-# _CERT_ERR * r * (1 + theta) * sigma_max**2, theta = 2*pi*max(c)*max(k)/L
-# the largest phase the SVD's matrix forms.  The table's entries are exact
-# to about 15*q*eps <= 15*eps*lmax, and eigh and the SVD are backward
-# stable to a few r*eps*lmax.  The SVD's matrix takes its phases unreduced,
-# so its entries are off by up to (3*theta + 2)*eps, which moves sigma**2 by
-# up to 2*sqrt(r)*(3*theta + 2)*eps*lmax.  64 covers the sum with room; the
-# roundoff of f itself is bounded apart (_root_bounds).  _SECULAR_STEPS
-# rational steps bring |f| below that term on separated poles.
 _CERT_ERR = 64 * _EPS
 _SECULAR_STEPS = 3
 # A greedy step with fewer than _SECULAR_MIN_WORK candidates * r**2 keeps
@@ -133,41 +125,39 @@ def _difference_table(L: int, karr: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(np.arange(L), karr) % L) / L).sum(axis=1)
 
 
-def _argmin_cond(
-    L: int, trials: np.ndarray, karr: np.ndarray, table: np.ndarray
-) -> tuple[int, float]:
-    """Index and cond of the first best-conditioned row of trials (n, r),
-    through the stacked Gram screen.
+def _cond_bounds(
+    L: int, karr: np.ndarray, c_max: int, r: int, top: tuple, bot: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds lo <= cond <= hi of r x q phase matrices with offsets
+    up to c_max, from bounds (lo, hi) on sigma_max**2 (top) and sigma_min**2
+    (bot) that the roundoff term at _CERT_ERR widens."""
+    err = _CERT_ERR * r * (1.0 + 2 * np.pi * c_max * karr.max() / L) * top[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(bot[1] + err > 0.0, np.sqrt((top[0] - err) / (bot[1] + err)), np.inf)
+        hi = np.where(bot[0] - err > 0.0, np.sqrt((top[1] + err) / (bot[0] - err)), np.inf)
+    return lo, hi
 
-    Equal to the argmin of _cond_stack over every row: each row's Gram
-    (table from _difference_table) is gathered and its cond taken from
-    eigvalsh, a point value whose error the _SCREEN_RTOL margin covers.
-    """
+
+def _stacked_screen(
+    L: int, trials: np.ndarray, karr: np.ndarray, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds lo <= cond <= hi for each row of trials (n, r), from
+    one eigvalsh of each row's Gram, gathered from table (_difference_table)."""
     r = trials.shape[1]
-    gram = table[(trials[:, :, np.newaxis] - trials[:, np.newaxis, :]) % L]
-    ev = np.linalg.eigvalsh(gram)
+    ev = np.linalg.eigvalsh(table[(trials[:, :, np.newaxis] - trials[:, np.newaxis, :]) % L])
     # sigma_min^2 is the min(r, q)-th largest eigenvalue; the rest are zero
     lmin, lmax = ev[:, r - min(r, len(karr))], ev[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        screen = np.where(lmin > 0.0, np.sqrt(lmax / lmin), np.inf)
-    return _svd_argmin(L, trials, karr, screen, screen)
+    return _cond_bounds(L, karr, trials.max(), r, (lmax, lmax), (lmin, lmin))
 
 
 def _svd_argmin(
     L: int, trials: np.ndarray, karr: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[int, float]:
     """Index and cond of the first best-conditioned row of trials (n, r),
-    given screen bounds lo <= cond <= hi per row.
-
-    The SVD decides in row order among the rows whose lo is within
-    _SCREEN_RTOL of the smallest hi, or among every row when that hi is past
-    the level the screens' error bounds trust (the comment at _SCREEN_RTOL).
-    """
-    r = trials.shape[1]
-    best = hi.min()
-    rows = np.arange(len(trials))
-    if best < math.sqrt(_SCREEN_RTOL / (20 * _SCREEN_ERR * r)):
-        rows = np.flatnonzero(lo <= best * (1.0 + _SCREEN_RTOL))
+    given certified bounds lo <= cond <= hi per row: the SVD decides in row
+    order among the rows whose lo reaches the smallest hi (all rows when
+    every hi is infinite), since no other row can be its argmin."""
+    rows = np.flatnonzero(lo <= hi.min())
     conds = _cond_stack(_phase_matrix(L, trials[rows], karr))
     i = int(np.argmin(conds))
     return int(rows[i]), float(conds[i])
@@ -298,9 +288,8 @@ def _secular_screen(
     z = V^H b_c.  sigma_max**2 is its largest eigenvalue.  sigma_min**2 is
     its (s + 2 - min(s + 1, q))-th smallest: while s < q the smallest, the
     top one of the negated arrowhead (stacked with the top one), and after
-    that the root between lam[s - q] and lam[s - q + 1].  All bounds widen
-    by the roundoff term at _CERT_ERR, which covers the table, eigh, z and
-    the SVD that the bounds stand in for.
+    that the root between lam[s - q] and lam[s - q + 1].  _cond_bounds
+    widens them by the roundoff term at _CERT_ERR, which also covers z.
     """
     q, s = len(karr), len(chosen)
     lam, V = np.linalg.eigh(table[(chosen[:, np.newaxis] - chosen) % L])
@@ -311,37 +300,26 @@ def _secular_screen(
         w2 = np.stack((w, w[:, ::-1]))
         q2 = np.array([[q], [-q]], dtype=float)
         lo2, hi2 = _outer_bounds(lam2, w2, q2, _top_root(lam2, w2, q2))
-        top_lo, top_hi, bot_lo, bot_hi = lo2[0], hi2[0], -hi2[1], -lo2[1]
+        top, bot = (lo2[0], hi2[0]), (-hi2[1], -lo2[1])
     else:
-        top_lo, top_hi = _outer_bounds(lam, w, q, _top_root(lam, w, q))
+        top = _outer_bounds(lam, w, q, _top_root(lam, w, q))
         j = s - q + 1
         x = _inner_root(lam, w, q, j)
-        bot_lo, bot_hi = _root_bounds(lam, w, q, x, lam[j - 1], lam[j], lam[j - 1], lam[j])
-    theta = 2 * np.pi * max(chosen.max(), cands.max()) * karr.max() / L
-    err = _CERT_ERR * (s + 1) * (1.0 + theta) * top_hi
-    top_lo, top_hi, bot_lo, bot_hi = top_lo - err, top_hi + err, bot_lo - err, bot_hi + err
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(bot_hi > 0.0, np.sqrt(top_lo / bot_hi), np.inf)
-        hi = np.where(bot_lo > 0.0, np.sqrt(top_hi / bot_lo), np.inf)
-    return lo, hi
+        bot = _root_bounds(lam, w, q, x, lam[j - 1], lam[j], lam[j - 1], lam[j])
+    return _cond_bounds(L, karr, max(chosen.max(), cands.max()), s + 1, top, bot)
+
+
+def _check_p(L: int, p: int) -> None:
+    if not 1 <= p <= L:
+        raise ValueError(f"pattern search needs 1 <= p <= L; got p={p}, L={L}")
 
 
 def _check_search(L: int, p: int, k: SpectralIndexSet) -> None:
-    if not 1 <= p <= L:
-        raise ValueError(f"pattern search needs 1 <= p <= L; got p={p}, L={L}")
+    _check_p(L, p)
     if k.L != L:
         raise ValueError(f"cell set k is built for L={k.L}, not for the search's L={L}")
     if not k.k:
         raise ValueError("pattern search needs at least one active cell; k is empty")
-
-
-def _chunks(it: Iterable, size: int):
-    it = iter(it)
-    while True:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield block
 
 
 def exhaustive_pattern_search(
@@ -351,8 +329,11 @@ def exhaustive_pattern_search(
     T: float = 1.0,
     budget: int = 10**6,
 ) -> PatternSearchResult:
-    """Minimize cond over all C(L, p) offset sets; ties go to the smallest C.
+    """Minimize cond over all C(L, p) offset sets.
 
+    Returns the first minimum of the SVD conds in lexicographic order of C.
+    Shifted (C + t mod L) and reflected (-C mod L) sets have equal conds, so
+    the SVD's roundoff decides among them: the result need not contain 0.
     Scores candidates through the stacked screen (module docstring).  Raises
     ValueError unless 1 <= p <= L, k is built for L and k is not empty, and
     refuses when the candidate count exceeds the budget; use
@@ -369,10 +350,12 @@ def exhaustive_pattern_search(
     table = _difference_table(L, karr)
     best_cond = math.inf
     best_C: tuple[int, ...] | None = None
-    # combinations() is lexicographic, so keeping strict improvements preserves
-    # the smallest-C tie-break under chunked evaluation
-    for block in _chunks(combinations(range(L), p), 4096):
-        i, cond = _argmin_cond(L, np.asarray(block), karr, table)
+    # combinations() is lexicographic, so keeping strict improvements keeps
+    # the first minimum under chunked evaluation
+    combos = combinations(range(L), p)
+    while block := list(islice(combos, 4096)):
+        trials = np.asarray(block)
+        i, cond = _svd_argmin(L, trials, karr, *_stacked_screen(L, trials, karr, table))
         if cond < best_cond:
             best_cond = cond
             best_C = block[i]
@@ -394,7 +377,7 @@ def sfs_pattern_search(
     evaluations.  Each step screens its candidates (module docstring): the
     secular screen bounds every candidate's cond from one eigh of the chosen
     rows' Gram, the stacked screen (small steps) from one eigvalsh per
-    candidate, and only the near-best few go to the SVD.  Raises ValueError
+    candidate, and the SVD decides among those the bounds keep.  Raises ValueError
     unless 1 <= p <= L, k is built for L and k is not empty.
     """
     _check_search(L, p, k)
@@ -403,7 +386,6 @@ def sfs_pattern_search(
     table = _difference_table(L, karr)
     cands = np.arange(L)
     chosen = np.zeros(0, dtype=int)
-    evaluations = 0
     final_cond = math.inf
     for _ in range(p):
         r = len(chosen) + 1
@@ -412,20 +394,18 @@ def sfs_pattern_search(
         # the first of exactly equal conds is the smallest offset
         if r > 1 and q > 1 and len(cands) * r**2 >= _SECULAR_MIN_WORK:
             bounds = _secular_screen(L, table, chosen, cands, karr)
-            i, final_cond = _svd_argmin(L, trial, karr, *bounds)
         else:
-            i, final_cond = _argmin_cond(L, trial, karr, table)
-        evaluations += len(cands)
+            bounds = _stacked_screen(L, trial, karr, table)
+        i, final_cond = _svd_argmin(L, trial, karr, *bounds)
         chosen, cands = trial[i], cands[cands != cands[i]]
     return PatternSearchResult(
-        SamplingPattern(L, tuple(chosen.tolist()), T), final_cond, evaluations, design_k=k
+        SamplingPattern(L, tuple(chosen.tolist()), T), final_cond, sfs_cost(L, p), design_k=k
     )
 
 
 def sfs_cost(L: int, p: int) -> int:
-    """Evaluation count of the greedy search: p*L - p*(p-1)/2."""
-    if p > L:
-        raise ValueError("p must not exceed L")
+    """Evaluation count of the greedy search, p*L - p*(p-1)/2, for 1 <= p <= L."""
+    _check_p(L, p)
     return p * L - p * (p - 1) // 2
 
 
@@ -434,7 +414,10 @@ def draw_anchors(N: int, d: int, L: int, rng: np.random.Generator) -> list[int]:
 
     Each a_i is uniform over the range that keeps the remaining anchors
     feasible, i.e. a_i >= a_{i-1} + d + 1 and a_i <= L - (N-i+1)*(d+1).
+    Raises ValueError unless N >= 1, d >= 0 and N*(d+1) <= L.
     """
+    if N < 1 or d < 0:
+        raise ValueError(f"draw_anchors needs N >= 1 and d >= 0; got N={N}, d={d}")
     if N * (d + 1) > L:
         raise ValueError(f"cannot place {N} anchors with spacing {d + 1} in {L} cells")
     anchors: list[int] = []

@@ -199,6 +199,16 @@ def test_cond_hist_command(tmp_path):
     assert (tmp_path / "bins.csv").read_text().splitlines()[0] == "bin_left,count"
 
 
+@pytest.mark.parametrize("N,d", [("3", "-1"), ("0", "1")])
+def test_cond_hist_rejects_bad_anchor_draw(tmp_path, capsys, N, d):
+    rc = main(["cond-hist", "--L", "16", "--p", "5", "--C", "0,1,7,8,12", "--N", N,
+               "--d", d, "--trials", "5", "--seed", "0", "--out", str(tmp_path / "h.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "runtime"
+    assert "N >= 1 and d >= 0" in err["error"]
+
+
 def test_sense_command(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

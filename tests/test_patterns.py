@@ -22,12 +22,13 @@ from subnyq import (
 )
 from subnyq import patterns
 from subnyq.patterns import (
-    _argmin_cond,
     _difference_table,
     _inner_root,
     _outer_bounds,
     _root_bounds,
     _secular_screen,
+    _stacked_screen,
+    _svd_argmin,
     anchor_support,
     draw_anchors,
 )
@@ -84,6 +85,11 @@ def svd_exhaustive(L, p, k):
     conds = svd_conds(L, np.asarray(combos), k)
     i = int(np.argmin(conds))
     return combos[i], float(conds[i]), len(combos)
+
+
+def stacked_argmin(L, trials, karr, table):
+    """Index and cond of the SVD's pick behind the stacked screen."""
+    return _svd_argmin(L, trials, karr, *_stacked_screen(L, trials, karr, table))
 
 
 def random_design(rng, L_max, p_max):
@@ -157,7 +163,7 @@ class TestScreenedSearchMatchesSvd:
 
     def test_ill_conditioned_stack_goes_to_the_svd(self):
         # nodes a few cells apart at L = 10**5: conds of 1e6 and more, where
-        # the Gram's eps*cond**2 error swamps the screen's shortlist margin
+        # the Gram's eps*cond**2 error leaves every upper bound infinite
         rng = np.random.default_rng(3)
         L, karr = 10**5, np.array([0, 1, 2])
         table = _difference_table(L, karr)
@@ -166,7 +172,7 @@ class TestScreenedSearchMatchesSvd:
             trials = window[rng.permutation(len(window))] + int(rng.integers(L - 14))
             conds = svd_conds(L, trials, SpectralIndexSet((0, 1, 2), L))
             i = int(np.argmin(conds))
-            assert _argmin_cond(L, trials, karr, table) == (i, float(conds[i]))
+            assert stacked_argmin(L, trials, karr, table) == (i, float(conds[i]))
 
     def test_large_L_moderate_conds(self, monkeypatch):
         # one SFS-like step at L = 10**5: q - 1 chosen rows plus each of 15000
@@ -189,7 +195,7 @@ class TestScreenedSearchMatchesSvd:
             conds = svd_conds(L, trials, SpectralIndexSet(tuple(karr.tolist()), L))
             i = int(np.argmin(conds))
             scored.clear()
-            assert _argmin_cond(L, trials, karr, _difference_table(L, karr)) == (i, float(conds[i])), seed
+            assert stacked_argmin(L, trials, karr, _difference_table(L, karr)) == (i, float(conds[i])), seed
             n_screened += scored[0] < len(trials)
         assert n_screened >= 5
 
@@ -207,12 +213,21 @@ class TestScreenedSearchMatchesSvd:
         # the criterion-9 design: the stacked screen scores only the Grams of
         # the steps below the crossover (r <= 4, 794 of 3810)
         stacked = []
-        argmin_cond = patterns._argmin_cond
+        stacked_screen = patterns._stacked_screen
         monkeypatch.setattr(
-            patterns, "_argmin_cond", lambda L, t, k, d: stacked.append(len(t)) or argmin_cond(L, t, k, d)
+            patterns, "_stacked_screen", lambda L, t, k, d: stacked.append(len(t)) or stacked_screen(L, t, k, d)
         )
         assert _auto_pattern(200, 20, 2.0, 5).C[:4] == (0, 13, 16, 29)
         assert sum(stacked) <= 1400
+
+
+def bordered(L, chosen, cands=None):
+    """The sorted rows chosen + c for each of cands (default: every offset
+    not chosen), as a greedy step scores them."""
+    chosen = np.sort(np.asarray(chosen))
+    if cands is None:
+        cands = np.setdiff1d(np.arange(L), chosen)
+    return np.sort(np.hstack((np.repeat(chosen[np.newaxis], len(cands), axis=0), cands[:, np.newaxis])), axis=1)
 
 
 def certified(L, karr, chosen, cands=None):
@@ -222,11 +237,26 @@ def certified(L, karr, chosen, cands=None):
     if cands is None:
         cands = np.setdiff1d(np.arange(L), chosen)
     lo, hi = _secular_screen(L, _difference_table(L, karr), chosen, cands, karr)
-    trials = np.sort(np.hstack((np.repeat(chosen[np.newaxis], len(cands), axis=0), cands[:, np.newaxis])), axis=1)
-    conds = svd_conds(L, trials, SpectralIndexSet(tuple(karr.tolist()), L))
+    conds = svd_conds(L, bordered(L, chosen, cands), SpectralIndexSet(tuple(karr.tolist()), L))
     bad = ~((lo <= conds) & (conds <= hi))
     assert not bad.any(), (L, karr.tolist(), chosen.tolist(), cands[bad], lo[bad], conds[bad], hi[bad])
     return lo, hi, conds
+
+
+def stacked_certified(L, karr, trials):
+    """_stacked_screen's bounds for each row of trials (n, r), after checking
+    that each row's SVD cond lies inside its bounds."""
+    karr = np.asarray(karr)
+    lo, hi = _stacked_screen(L, trials, karr, _difference_table(L, karr))
+    conds = svd_conds(L, trials, SpectralIndexSet(tuple(karr.tolist()), L))
+    bad = ~((lo <= conds) & (conds <= hi))
+    assert not bad.any(), (L, karr.tolist(), trials[bad], lo[bad], conds[bad], hi[bad])
+    return lo, hi, conds
+
+
+def random_rows(rng, L, r, n):
+    """n random sorted rows of r distinct offsets in [0, L)."""
+    return np.sort(np.stack([rng.choice(L, r, replace=False) for _ in range(n)]), axis=1)
 
 
 def far_shifted_case(rng, s):
@@ -323,6 +353,40 @@ class TestSecularCertificate:
             # while the bounds from the interior iterates hold it
             lo, hi = _root_bounds(lam, w, q, _inner_root(lam, w, q, 1), lam[0], lam[1], lam[0], lam[1])
             assert lo[0] - 1e-12 <= mu[1] <= hi[0] + 1e-12
+
+
+class TestStackedCertificate:
+    """Every candidate's SVD cond lies inside the stacked screen's bounds."""
+
+    def test_seeded_cases(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            L = int(rng.integers(2, 120))
+            q = int(rng.integers(1, min(L, 25) + 1))
+            karr = np.sort(rng.choice(L, q, replace=False))
+            # before r = q and after it
+            r = int(rng.integers(1, q + 1)) if rng.random() < 0.5 else int(rng.integers(q, min(L, 3 * q) + 1))
+            stacked_certified(L, karr, random_rows(rng, L, r, 100))
+        for p in (1, 2, 5, 9):
+            # coincident rows c and c + 8 (all-even cells)
+            stacked_certified(16, np.arange(0, 16, 2)[:5], random_rows(rng, 16, p, 300))
+            # evenly spaced cells: most Gram entries vanish
+            stacked_certified(32, np.arange(1, 32, 8), random_rows(rng, 32, p, 300))
+        for seed in range(12):
+            # the SVD's unreduced phases set the widths here (theta)
+            rng = np.random.default_rng(seed)
+            L, karr, chosen, cands = far_shifted_case(rng, int(rng.integers(1, 18)))
+            stacked_certified(L, karr, bordered(L, chosen, cands))
+            stacked_certified(L, karr, random_rows(rng, 30000, len(chosen) + 1, 400))
+
+    @settings(max_examples=150, deadline=None)
+    @given(secular_cases(), st.integers(0, 2**32 - 1))
+    def test_generated_cases(self, case, seed):
+        # a greedy step's bordered rows, and random rows of the same width
+        L, karr, chosen, cands = case
+        trials = bordered(L, chosen, cands)
+        stacked_certified(L, karr, trials)
+        stacked_certified(L, karr, random_rows(np.random.default_rng(seed), L, trials.shape[1], 200))
 
 
 class TestPinnedPatterns:
@@ -483,6 +547,11 @@ class TestSfsCost:
             return
         assert sfs_cost(L, p) == sum(L - i for i in range(p))
 
+    @pytest.mark.parametrize("L,p", [(10, -1), (10, 0), (0, 0), (4, 5)])
+    def test_p_outside_1_to_L_rejected(self, L, p):
+        with pytest.raises(ValueError, match="1 <= p <= L"):
+            sfs_cost(L, p)
+
 
 class TestBlindSfs:
     def test_anchor_support_construction(self):
@@ -495,6 +564,11 @@ class TestBlindSfs:
             a = draw_anchors(3, 1, 13, rng)
             assert a[0] >= 0
             assert a[0] + 1 < a[1] and a[1] + 1 < a[2] and a[2] + 1 < 13
+
+    @pytest.mark.parametrize("N,d", [(0, 1), (-2, 0), (3, -1), (2, -3)])
+    def test_anchor_count_and_gap_checked(self, N, d):
+        with pytest.raises(ValueError, match="N >= 1 and d >= 0"):
+            draw_anchors(N, d, 10, np.random.default_rng(0))
 
     def test_published_anchor_example_quality(self):
         # anchors (2,5,8) give cells {2,3,5,6,8,9}; the greedy pattern matches
