@@ -33,7 +33,6 @@ from .patterns import (
     cond_histogram,
     condition_number,
     exhaustive_pattern_search,
-    random_pattern,
     sfs_cost,
     sfs_pattern_search,
 )

@@ -140,8 +140,10 @@ def _check_descending(vals: np.ndarray) -> None:
         raise ValueError("eigenvalues must be sorted descending")
 
 
-def _eigs_of(eigs) -> np.ndarray:
+def _eigs_of(eigs, p: int) -> np.ndarray:
     vals = eigs.values if isinstance(eigs, EigenSpectrum) else np.asarray(eigs, dtype=float)
+    if vals.shape[-1] != p:
+        raise ValueError(f"got {vals.shape[-1]} eigenvalues for p={p}")
     _check_descending(vals)
     return vals
 
@@ -177,7 +179,7 @@ def aic_order(eigs, M: int, p: int, q_min: int = 0, q_max: int | None = None) ->
     The data term compares geometric and arithmetic means of the p-r smallest
     eigenvalues; a flat (noise-only) tail makes it vanish.
     """
-    vals = _eigs_of(eigs)
+    vals = _eigs_of(eigs, p)
     if q_max is None:
         q_max = p - 1
     scores = _itc_scores(vals, M, p, q_min, q_max, mdl=False)
@@ -186,7 +188,7 @@ def aic_order(eigs, M: int, p: int, q_min: int = 0, q_max: int | None = None) ->
 
 def mdl_order(eigs, M: int, p: int, q_min: int = 0, q_max: int | None = None) -> OrderEstimate:
     """Minimum-description-length order: penalty (1/2) r(2p-r) log M."""
-    vals = _eigs_of(eigs)
+    vals = _eigs_of(eigs, p)
     if q_max is None:
         q_max = p - 1
     scores = _itc_scores(vals, M, p, q_min, q_max, mdl=True)
@@ -214,9 +216,12 @@ def eft_order(
     roundoff level p*eps*lambda_max count as that level.
     """
     del M
+    vals = _eigs_of(eigs, p)
     if q_max is None:
         q_max = p - 1
-    q_hat, mismatches = _eft_orders(_eigs_of(eigs), p, threshold, q_max)
+    if not 0 <= q_max < p:
+        raise ValueError("need 0 <= q_max < p")
+    q_hat, mismatches = _eft_orders(vals, p, threshold, q_max)
     return OrderEstimate(int(q_hat), mismatches, "EFT")
 
 

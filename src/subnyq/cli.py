@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import sys
@@ -35,6 +34,7 @@ from .signals import (
     MultibandSignalSpec,
     NoiseModel,
     TimeSeries,
+    _csv_text,
     apply_noise,
     synthesize,
     timeseries_from_csv,
@@ -215,27 +215,26 @@ def _provenance(config: dict) -> dict:
     return {"version": __version__, "config_hash": config_hash(config)}
 
 
+def _json_safe(v):
+    """v with every non-finite float spelled "inf", "-inf" or "nan", which
+    JSON has no numbers for."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(float(v))
+    if isinstance(v, dict):
+        return {key: _json_safe(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    return v
+
+
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
-def _csv_header(config: dict) -> str:
-    return f"# subnyq={__version__} config_hash={config_hash(config)}"
-
-
-def _write_csv(path: str, header: str, columns: list[str], rows) -> None:
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    Path(path).write_text(buf.getvalue())
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _stamp(config: dict) -> str:
+    """The provenance comment that heads every CSV output."""
+    return f"subnyq={__version__} config_hash={config_hash(config)}"
 
 
 def emit_plot_data(result, kind: str) -> str:
@@ -245,39 +244,31 @@ def emit_plot_data(result, kind: str) -> str:
     (bin_left, count) from a value sequence; "eigenvalues" (index, value)
     from a descending profile; "pd" (snr_db, cr, pd) from a PdResult.
     """
-    buf = io.StringIO()
     if kind == "spectrum":
         if not isinstance(result, TimeSeries):
             raise ValidationError("spectrum plot needs a TimeSeries")
-        buf.write("freq,magnitude\n")
         n = len(result.samples)
+        rows = []
         if n:
             mags = np.abs(np.fft.fft(result.samples)) / n
-            freqs = np.arange(n) / (n * result.T)
-            for f, m in zip(freqs, mags):
-                buf.write(f"{_fmt(float(f))},{_fmt(float(m))}\n")
-        return buf.getvalue()
+            rows = zip((np.arange(n) / (n * result.T)).tolist(), mags.tolist())
+        return _csv_text("", ["freq", "magnitude"], rows)
     if kind == "histogram":
         vals = np.asarray(result, dtype=float)
-        buf.write("bin_left,count\n")
         finite = vals[np.isfinite(vals)]
+        rows = []
         if finite.size:
             counts, edges = np.histogram(finite, bins=50)
-            for e, c in zip(edges[:-1], counts):
-                buf.write(f"{_fmt(float(e))},{int(c)}\n")
-        return buf.getvalue()
+            rows = zip(edges[:-1].tolist(), counts.tolist())
+        return _csv_text("", ["bin_left", "count"], rows)
     if kind == "eigenvalues":
-        vals = result.values if isinstance(result, blind_mod.EigenSpectrum) else np.asarray(result, dtype=float)
-        buf.write("index,value\n")
-        for i, v in enumerate(vals):
-            buf.write(f"{i},{_fmt(float(v))}\n")
-        return buf.getvalue()
+        vals = result.values if isinstance(result, blind_mod.EigenSpectrum) else result
+        return _csv_text("", ["index", "value"], enumerate(np.asarray(vals, dtype=float).tolist()))
     if kind == "pd":
         rows = result.rows if isinstance(result, sensing_mod.PdResult) else result
-        buf.write("snr_db,cr,pd\n")
-        for r in rows:
-            buf.write(f"{_fmt(float(r.snr_db))},{_fmt(float(r.cr))},{_fmt(float(r.pd))}\n")
-        return buf.getvalue()
+        return _csv_text(
+            "", ["snr_db", "cr", "pd"], ([float(r.snr_db), float(r.cr), float(r.pd)] for r in rows)
+        )
     raise ValidationError(f"unknown plot kind {kind!r}")
 
 
@@ -312,9 +303,7 @@ def _cmd_synth(cfg: dict) -> None:
     T = cfg["T"] if cfg["T"] is not None else 1.0 / spec.f_max
     x = synthesize(spec, T, cfg["M"])
     x = apply_noise(x, _noise_from_cfg(cfg), seed=cfg["seed"] or 0)
-    Path(cfg["out"]).write_text(
-        timeseries_to_csv(x, header_comment=_csv_header(cfg)[2:])
-    )
+    Path(cfg["out"]).write_text(timeseries_to_csv(x, header_comment=_stamp(cfg)))
     if cfg["plot_out"]:
         Path(cfg["plot_out"]).write_text(emit_plot_data(x, "spectrum"))
 
@@ -345,7 +334,7 @@ def _cmd_pattern(cfg: dict) -> None:
         "L": res.pattern.L,
         "p": res.pattern.p,
         "C": list(res.pattern.C),
-        "cond": res.cond if math.isfinite(res.cond) else "inf",
+        "cond": res.cond,
         "evaluations": res.evaluations,
     }
     if res.design_k is not None:
@@ -373,7 +362,7 @@ def _cmd_cond_hist(cfg: dict) -> None:
         )
     else:
         raise ValidationError("cond-hist needs either k (random patterns) or C plus N (random supports)")
-    _write_csv(cfg["out"], _csv_header(cfg), ["cond"], ([v] for v in map(float, vals)))
+    Path(cfg["out"]).write_text(_csv_text(_stamp(cfg), ["cond"], ([v] for v in vals.tolist())))
     if cfg["plot_out"]:
         Path(cfg["plot_out"]).write_text(emit_plot_data(vals, "histogram"))
 
@@ -396,9 +385,7 @@ def _cmd_reconstruct(cfg: dict) -> None:
     streams = coset_decompose(x, pattern)
     filt = design_filter(L, cfg["Nh"])
     report = reconstruct_time(streams, k, filt, reference=x_clean)
-    Path(cfg["out"]).write_text(
-        timeseries_to_csv(report.x_rec, header_comment=_csv_header(cfg)[2:])
-    )
+    Path(cfg["out"]).write_text(timeseries_to_csv(report.x_rec, header_comment=_stamp(cfg)))
     payload = {
         **_provenance(cfg),
         "rmse": report.rmse,
@@ -438,17 +425,15 @@ def _cmd_blind(cfg: dict) -> None:
         **_provenance(cfg),
         "q_hat": report.q_hat,
         "k_hat": list(report.k_hat.k),
-        "criterion_values": [float(v) for v in report.order.criterion_values],
+        "criterion_values": report.order.criterion_values.tolist(),
         "order_method": report.order.method,
-        "eigenvalues": [float(v) for v in report.eigs.values],
+        "eigenvalues": report.eigs.values.tolist(),
         "filter_meets_spec": report.filter_meets_spec,
     }
     if report.pseudo_spectrum is not None:
-        payload["pseudo_spectrum"] = [
-            (float(v) if math.isfinite(v) else "inf") for v in report.pseudo_spectrum
-        ]
+        payload["pseudo_spectrum"] = report.pseudo_spectrum.tolist()
     if report.ls_trace is not None:
-        payload["ls_trace"] = [float(v) for v in report.ls_trace]
+        payload["ls_trace"] = report.ls_trace.tolist()
     _write_json(cfg["out"], payload)
     if cfg["plot_out"]:
         Path(cfg["plot_out"]).write_text(emit_plot_data(report.eigs, "eigenvalues"))
@@ -479,10 +464,7 @@ def _cmd_sense(cfg: dict) -> None:
         "occupied": list(report.occupied.k),
         "free_channels": [[lo, hi] for lo, hi in report.free_channels],
         "q_hat": report.q_hat,
-        "diagnostics": {
-            k: (v if not isinstance(v, float) or math.isfinite(v) else "inf")
-            for k, v in report.diagnostics.items()
-        },
+        "diagnostics": report.diagnostics,
     }
     _write_json(cfg["out"], payload)
 
@@ -504,15 +486,9 @@ def _cmd_pd_sweep(cfg: dict) -> None:
         n_blocks=cfg["blocks"],
         metric=cfg["metric"],
     )
-    _write_csv(
-        cfg["out"],
-        _csv_header(cfg),
-        ["snr_db", "cr", "trials", "detections", "pd", "ci95"],
-        (
-            [r.snr_db, r.cr, r.trials, r.detections, r.pd, r.ci95]
-            for r in result.rows
-        ),
-    )
+    columns = ["snr_db", "cr", "trials", "detections", "pd", "ci95"]
+    rows = ([r.snr_db, r.cr, r.trials, r.detections, r.pd, r.ci95] for r in result.rows)
+    Path(cfg["out"]).write_text(_csv_text(_stamp(cfg), columns, rows))
     if cfg["plot_out"]:
         Path(cfg["plot_out"]).write_text(emit_plot_data(result, "pd"))
 
@@ -566,14 +542,14 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage()
         return 2
-    config = {}
-    if args.config:
-        config.update(json.loads(Path(args.config).read_text()))
-    for name in SCHEMAS[args.command]:
-        val = getattr(args, name, None)
-        if val is not None:
-            config[name] = val
     try:
+        config = json.loads(Path(args.config).read_text()) if args.config else {}
+        if not isinstance(config, dict):
+            raise ValidationError(f"config {args.config} must hold a JSON object")
+        for name in SCHEMAS[args.command]:
+            val = getattr(args, name, None)
+            if val is not None:
+                config[name] = val
         return run(args.command, config)
     except ValidationError as exc:
         print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)

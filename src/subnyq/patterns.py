@@ -24,9 +24,12 @@ secular equation f(x) = 0 with f' <= -1 between poles, so an iterate x
 between the two poles that bracket a root is within |f(x)| of it.  A few
 vectorized rational steps approach sigma_max**2 (the largest root) and
 sigma_min**2 (the smallest root while r <= q, the root between the two
-smallest nonzero poles after that).  The exhaustive search, the first greedy
-step, a single cell and steps with fewer than _SECULAR_MIN_WORK candidates *
-r**2 (where eigvalsh is cheaper) keep the stacked screen.
+smallest nonzero poles after that).  The exhaustive search, a single cell and
+steps with fewer than _SECULAR_MIN_WORK candidates * r**2 (where eigvalsh is
+cheaper) keep the stacked screen.  The greedy search scores no first step:
+every one-row candidate has cond exactly 1, so by shift invariance it starts
+from offset 0.  The criterion-9 design (L = 200, p = 20) then runs 22 SVDs
+and sends 594 stacked Grams to eigvalsh, of 3810 candidates.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "draw_anchors",
     "anchor_support",
     "blind_sfs",
-    "random_pattern",
     "cond_histogram",
 ]
 
@@ -370,11 +372,13 @@ def sfs_pattern_search(
 ) -> PatternSearchResult:
     """Greedy forward selection of offsets minimizing cond at each step.
 
-    Starts from the empty set and adds, p times, the offset whose addition
+    Starts from offset 0 and adds, p - 1 times, the offset whose addition
     gives the smallest condition number on the columns k.  Candidates whose
     SVD conds are exactly equal resolve to the smallest offset; near ties at
     roundoff are decided by the SVD's roundoff.  Costs p*L - p*(p-1)/2
-    evaluations.  Each step screens its candidates (module docstring): the
+    evaluations, of which step 1's L are settled by shift invariance: every
+    one-row candidate has cond exactly 1, so the first, offset 0, wins.
+    Each later step screens its candidates (module docstring): the
     secular screen bounds every candidate's cond from one eigh of the chosen
     rows' Gram, the stacked screen (small steps) from one eigvalsh per
     candidate, and the SVD decides among those the bounds keep.  Raises ValueError
@@ -384,15 +388,15 @@ def sfs_pattern_search(
     karr = np.asarray(k.k)
     q = len(karr)
     table = _difference_table(L, karr)
-    cands = np.arange(L)
-    chosen = np.zeros(0, dtype=int)
-    final_cond = math.inf
-    for _ in range(p):
+    chosen = np.zeros(1, dtype=int)
+    cands = np.arange(1, L)
+    final_cond = 1.0
+    for _ in range(p - 1):
         r = len(chosen) + 1
         rest = np.repeat(chosen[np.newaxis], len(cands), axis=0)
         trial = np.sort(np.concatenate((rest, cands[:, np.newaxis]), axis=1), axis=1)
         # the first of exactly equal conds is the smallest offset
-        if r > 1 and q > 1 and len(cands) * r**2 >= _SECULAR_MIN_WORK:
+        if q > 1 and len(cands) * r**2 >= _SECULAR_MIN_WORK:
             bounds = _secular_screen(L, table, chosen, cands, karr)
         else:
             bounds = _stacked_screen(L, trial, karr, table)
@@ -467,11 +471,6 @@ def blind_sfs(
     return _anchored_sfs(L_eff, min(params.p, L_eff), N, d, rng, 1.0 / f_max if T is None else T)
 
 
-def random_pattern(L: int, p: int, rng: np.random.Generator) -> SamplingPattern:
-    C = tuple(sorted(rng.choice(L, size=p, replace=False).tolist()))
-    return SamplingPattern(L, C)
-
-
 def cond_histogram(
     L: int,
     p: int,
@@ -485,7 +484,8 @@ def cond_histogram(
 
     Two modes: with a fixed cell set k, draw `trials` random offset patterns;
     with a fixed pattern plus a support generator, draw random supports
-    against it.  Deterministic given the seed.
+    against it.  Deterministic given the seed.  Raises ValueError when L or p
+    disagrees with the pattern.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -500,6 +500,8 @@ def cond_histogram(
         return _cond_stack(_phase_matrix(L, pats, karr))
     if pattern is None:
         raise ValueError("support_generator mode requires a fixed pattern")
+    if (pattern.L, pattern.p) != (L, p):
+        raise ValueError(f"L={L}, p={p} disagree with the pattern's L={pattern.L}, p={pattern.p}")
     C = np.asarray(pattern.C)
     vals = np.empty(trials)
     for i in range(trials):

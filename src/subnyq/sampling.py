@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import TimeSeries, _check_index
+from .signals import TimeSeries, _csv_rows, _csv_text
 
 __all__ = [
     "SamplingPattern",
@@ -62,7 +62,11 @@ class SamplingPattern:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SamplingPattern":
-        pat = cls(int(d["L"]), tuple(d["C"]), float(d.get("T", 1.0)))
+        try:
+            L, C = int(d["L"]), tuple(d["C"])
+        except KeyError as exc:
+            raise ValueError(f"sampling pattern is missing key {exc}") from None
+        pat = cls(L, C, float(d.get("T", 1.0)))
         if "p" in d and int(d["p"]) != pat.p:
             raise ValueError("pattern p does not match len(C)")
         return pat
@@ -136,11 +140,6 @@ class MeasurementMatrix:
         if e.shape != (self.pattern.p, self.pattern.L):
             raise ValueError("entries must be p x L")
         object.__setattr__(self, "entries", e)
-
-    def column(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.pattern.L:
-            raise ValueError(f"cell index {k} out of range [0, {self.pattern.L - 1}]")
-        return self.entries[:, k]
 
 
 @dataclass(frozen=True)
@@ -216,32 +215,11 @@ def blind_parameters(N: int, B: float, f_max: float, d: int) -> BlindParameters:
 def streams_to_csv(cs: CosetStreams, header_comment: str = "") -> str:
     """Coset streams as CSV, one row per ADC sample: m, then re/im per coset."""
     _one_capture(cs)
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    cols = ["m"]
-    for i in range(cs.pattern.p):
-        cols += [f"s{i}_re", f"s{i}_im"]
-    lines.append(",".join(cols))
-    for m, column in enumerate(cs.samples.T):
-        row = [str(m)]
-        for v in column:
-            row += [repr(float(v.real)), repr(float(v.imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    cols = ["m"] + [f"s{i}_{part}" for i in range(cs.pattern.p) for part in ("re", "im")]
+    values = np.ascontiguousarray(cs.samples.T).view(np.float64).tolist()
+    return _csv_text(header_comment, cols, ([m, *row] for m, row in enumerate(values)))
 
 
 def streams_from_csv(text: str, pattern: SamplingPattern) -> CosetStreams:
-    rows = [
-        r.split(",")
-        for r in text.splitlines()
-        if r and not r.startswith("#") and not r.startswith("m,")
-    ]
-    p = pattern.p
-    if rows and len(rows[0]) != 1 + 2 * p:
-        raise ValueError(
-            f"stream CSV has {len(rows[0])} columns, expected {1 + 2 * p}"
-        )
-    _check_index([int(r[0]) for r in rows])
-    data = np.asarray([[float(v) for v in r[1:]] for r in rows]).reshape(-1, 2 * p)
+    _, data = _csv_rows(text, "m", 2 * pattern.p)
     return CosetStreams(data[:, 0::2].T + 1j * data[:, 1::2].T, pattern)

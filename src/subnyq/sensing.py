@@ -249,9 +249,10 @@ def pd_sweep(
     a detection requires the occupied set to equal the true channel exactly
     (metric="exact") or to contain it within the estimated order
     (metric="contains").  Each compression ratio must give an integer coset
-    count p = cr*L >= 2.  Cells are selected in the top-q form, which
-    remains meaningful at p = 2 where threshold selection cannot isolate a
-    single wide peak.  A point's random streams are keyed on (seed, p, SNR
+    count p = cr*L >= 2 and gets its own planned pattern, so the template
+    must leave pattern and p unset.  Cells are selected in the top-q form,
+    which remains meaningful at p = 2 where threshold selection cannot
+    isolate a single wide peak.  A point's random streams are keyed on (seed, p, SNR
     value) and draw only the samples the ADCs take, with the trial as the
     leading axis: so its counts do not depend on which other grid points are
     swept or in what order, and the first t trials of a run with more trials
@@ -266,6 +267,10 @@ def pd_sweep(
         raise ValueError(f"seed must be a non-negative integer (got {seed!r})")
     if metric not in ("exact", "contains"):
         raise ValueError("metric must be 'exact' or 'contains'")
+    if cfg_template.pattern != "auto" or cfg_template.p is not None:
+        raise ValueError(
+            "pd_sweep designs one pattern per compression ratio: leave the template's pattern and p unset"
+        )
     snrs = [float(s) for s in snr_db_list]
     if not all(math.isfinite(s) for s in snrs):
         raise ValueError(f"snr_db_list must hold finite values (got {snrs})")

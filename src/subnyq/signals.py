@@ -7,8 +7,6 @@ boundary frequencies belong to the band below them.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -53,9 +51,6 @@ class SpectralSupport:
     @property
     def n_bands(self) -> int:
         return len(self.bands)
-
-    def contains(self, f: float) -> bool:
-        return any(a <= f < b for a, b in self.bands)
 
 
 @dataclass(frozen=True)
@@ -118,10 +113,12 @@ class MultibandSignalSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultibandSignalSpec":
-        bands = tuple(
-            BandSpec(e["a"], e["B"], e["t"], e["f"]) for e in d["bands"]
-        )
-        return cls(bands, float(d["f_max"]))
+        try:
+            bands = tuple(BandSpec(e["a"], e["B"], e["t"], e["f"]) for e in d["bands"])
+            f_max = float(d["f_max"])
+        except KeyError as exc:
+            raise ValueError(f"signal spec is missing key {exc}") from None
+        return cls(bands, f_max)
 
 
 @dataclass(frozen=True)
@@ -179,24 +176,6 @@ class NoiseModel:
     @classmethod
     def quantizer(cls, bits: int, full_scale: float) -> "NoiseModel":
         return cls("quantizer", bits=bits, full_scale=full_scale)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "awgn":
-            d["sigma"] = self.sigma
-        elif self.kind == "quantizer":
-            d["bits"] = self.bits
-            d["full_scale"] = self.full_scale
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        kind = d.get("kind", "none")
-        if kind == "awgn":
-            return cls.awgn(float(d["sigma"]))
-        if kind == "quantizer":
-            return cls.quantizer(int(d["bits"]), float(d["full_scale"]))
-        return cls.none()
 
 
 def lebesgue_measure(F: SpectralSupport) -> float:
@@ -313,37 +292,44 @@ def apply_noise(x: TimeSeries, model: NoiseModel, seed: int = 0) -> TimeSeries:
     return TimeSeries(q(x.samples.real) + 1j * q(x.samples.imag), x.T, x.origin)
 
 
+def _csv_text(comment: str, columns, rows) -> str:
+    """The package's one CSV format: a "# comment" line when comment is not
+    empty, the header, then one line per row.  Floats are written by
+    float.__repr__, so they read back exactly; other values by str."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(float.__repr__(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _csv_rows(text: str, index: str, width: int) -> tuple[int, np.ndarray]:
+    """Read _csv_text output whose first column, named index, numbers the
+    rows: the first index and the (rows, width) float array of the other
+    columns.  Skips blank and "#" lines and the header; every data row must
+    hold 1 + width fields, and the index must run contiguous and ascending."""
+    rows = [
+        line.split(",")
+        for line in text.splitlines()
+        if line and not line.startswith("#") and line.split(",", 1)[0] != index
+    ]
+    start = int(rows[0][0]) if rows else 0
+    for row, fields in enumerate(rows):
+        if len(fields) != 1 + width:
+            raise ValueError(f"CSV data row {row} has {len(fields)} fields, expected {1 + width}")
+        n = int(fields[0])
+        if n != start + row:
+            raise ValueError(f"CSV data row {row} has index {n}, expected {start + row}")
+    return start, np.array([[float(v) for v in r[1:]] for r in rows]).reshape(-1, width)
+
+
 def timeseries_to_csv(ts: TimeSeries, header_comment: str = "") -> str:
     """Render a TimeSeries as CSV with columns n, re, im."""
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "re", "im"])
-    for i, v in enumerate(ts.samples):
-        w.writerow([ts.origin + i, repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
+    n = range(ts.origin, ts.origin + len(ts))
+    rows = zip(n, ts.samples.real.tolist(), ts.samples.imag.tolist())
+    return _csv_text(header_comment, ["n", "re", "im"], rows)
 
 
 def timeseries_from_csv(text: str, T: float) -> TimeSeries:
-    rows = [
-        r
-        for r in csv.reader(io.StringIO(text))
-        if r and not r[0].startswith("#") and r[0] != "n"
-    ]
-    if not rows:
-        return TimeSeries(np.zeros(0, dtype=np.complex128), T)
-    index = [int(r[0]) for r in rows]
-    _check_index(index)
-    origin = index[0]
-    vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    return TimeSeries(vals, T, origin)
-
-
-def _check_index(index: list[int]) -> None:
-    """CSV index columns must run contiguous and ascending from the first row."""
-    for row, n in enumerate(index):
-        if n != index[0] + row:
-            raise ValueError(
-                f"CSV data row {row} has index {n}, expected {index[0] + row}"
-            )
+    origin, data = _csv_rows(text, "n", 2)
+    return TimeSeries(data[:, 0] + 1j * data[:, 1], T, origin)

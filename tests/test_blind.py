@@ -196,6 +196,20 @@ class TestOrderSelection:
         est = eft_order(vals, 100, 4, q_max=2)
         assert est.q_hat <= 2
 
+    @pytest.mark.parametrize("order", [aic_order, mdl_order, eft_order])
+    @pytest.mark.parametrize(
+        "p, q_max, match",
+        [(9, None, "6 eigenvalues for p=9"), (3, None, "6 eigenvalues for p=3"),
+         (6, -3, "q_max < p"), (6, 6, "q_max < p")],
+    )
+    def test_p_and_q_max_checked(self, order, p, q_max, match):
+        # mdl_order(v, 1000, 9) returned 6 with RuntimeWarnings, p = 3 scored
+        # a truncated spectrum, eft_order(v, 1000, 9) raised IndexError and
+        # eft_order(v, 1000, 6, q_max=-3) returned -3
+        vals = np.array([50.0, 40.0, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=match):
+            order(vals, 1000, p, q_max=q_max)
+
 
 class TestMusic:
     def test_noiseless_exact_recovery(self):

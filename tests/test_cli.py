@@ -277,6 +277,73 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps([["method", "sfs"]]))
+    rc = main(["pattern", "--config", str(cfgfile), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "validation"
+    assert "JSON object" in err["error"]
+
+
+def runtime_error(capsys) -> str:
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "runtime"
+    return err["error"]
+
+
+def test_pattern_file_without_C(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC34))
+    pat = tmp_path / "pat.json"
+    pat.write_text(json.dumps({"L": 22, "p": 7, "T": 0.05}))
+    rc = main(["blind", "--spec", str(spec), "--pattern", str(pat), "--out", str(tmp_path / "b.json")])
+    assert rc == 1
+    assert "missing key 'C'" in runtime_error(capsys)
+
+
+def test_spec_band_without_f(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"f_max": 5.0, "bands": [{"a": 0.5, "B": 0.6, "t": 60.0}]}))
+    rc = main(["synth", "--spec", str(spec), "--M", "64", "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "missing key 'f'" in runtime_error(capsys)
+
+
+def test_sense_input_with_a_short_row(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    csv.write_text("n,re,im\n0,1.0,0.0\n1,2.0\n2,1.0,0.0\n")
+    rc = main(["sense", "--fmax", "20", "--B", "1", "--omega", "0.15",
+               "--input", str(csv), "--out", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert "row 1 has 2 fields, expected 3" in runtime_error(capsys)
+
+
+def test_cond_hist_pattern_must_match_L_and_p(tmp_path, capsys):
+    # p = 9 was ignored: the conds came from the five offsets of C
+    rc = main(["cond-hist", "--L", "16", "--p", "9", "--C", "0,1,7,8,12", "--N", "2",
+               "--trials", "5", "--seed", "0", "--out", str(tmp_path / "h.csv")])
+    assert rc == 1
+    assert "p=9 disagree" in runtime_error(capsys)
+
+
+def test_non_finite_report_numbers_are_strings(tmp_path):
+    # a zero-amplitude signal has no energy to compare against: rmse is inf
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps({"f_max": 5.0, "bands": [{"a": 0.0, "B": 0.6, "t": 60.0, "f": 1.0}]}))
+    out = tmp_path / "rec.csv"
+    rc = main(["reconstruct", "--spec", str(spec), "--L", "32", "--p", "12", "--M", "1024",
+               "--noise", "awgn", "--sigma", "0.1", "--seed", "1", "--out", str(out)])
+    assert rc == 0
+
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    report = json.loads((tmp_path / "rec.csv.json").read_text(), parse_constant=no_constants)
+    assert report["rmse"] == "inf"
+
+
 class TestEmitPlotData:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):

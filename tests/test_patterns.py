@@ -200,25 +200,26 @@ class TestScreenedSearchMatchesSvd:
         assert n_screened >= 5
 
     def test_screen_spares_most_svds(self, monkeypatch):
-        # the criterion-9 design: 3810 candidates, 222 of them reach the SVD
+        # the criterion-9 design: 3810 candidates, 22 of them reach the SVD
+        # (step 1, offset 0 by shift invariance, runs none)
         from subnyq import patterns
 
         scored = []
         cond_stack = patterns._cond_stack
         monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
         _auto_pattern(200, 20, 2.0, 5)
-        assert sum(scored) <= 300
+        assert sum(scored) <= 30
 
     def test_secular_screen_spares_most_eigvalsh(self, monkeypatch):
         # the criterion-9 design: the stacked screen scores only the Grams of
-        # the steps below the crossover (r <= 4, 794 of 3810)
+        # the steps below the crossover (r = 2..4, 594 of 3810)
         stacked = []
         stacked_screen = patterns._stacked_screen
         monkeypatch.setattr(
             patterns, "_stacked_screen", lambda L, t, k, d: stacked.append(len(t)) or stacked_screen(L, t, k, d)
         )
         assert _auto_pattern(200, 20, 2.0, 5).C[:4] == (0, 13, 16, 29)
-        assert sum(stacked) <= 1400
+        assert sum(stacked) <= 700
 
 
 def bordered(L, chosen, cands=None):
@@ -510,6 +511,11 @@ class TestSfsSearch:
             gr = sfs_pattern_search(L, p, k)
             assert ex.cond <= gr.cond + 1e-9
 
+    @pytest.mark.parametrize("L, k", [(1, (0,)), (7, (3,)), (16, K16.k), (12, (0, 6))])
+    def test_one_offset_is_zero_with_cond_one(self, L, k):
+        res = sfs_pattern_search(L, 1, SpectralIndexSet(k, L))
+        assert (res.pattern.C, res.cond, res.evaluations) == ((0,), 1.0, L)
+
     def test_p_greater_than_L_rejected(self):
         with pytest.raises(ValueError):
             sfs_pattern_search(4, 5, SpectralIndexSet((0,), 4))
@@ -627,6 +633,17 @@ class TestCondHistogram:
         )
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= 1.0)
+
+    @pytest.mark.parametrize("L, p", [(16, 99), (16, 7), (13, 5), (13, 8)])
+    def test_random_supports_need_the_patterns_L_and_p(self, L, p):
+        pattern = blind_sfs(3, 1.5, 20.0, 1, seed=2).pattern
+        assert (pattern.L, pattern.p) == (13, 7)
+
+        def gen(rng):
+            return anchor_support(draw_anchors(3, 1, 13, rng), 1, 13)
+
+        with pytest.raises(ValueError, match=f"L={L}, p={p} disagree"):
+            cond_histogram(L, p, trials=5, seed=0, pattern=pattern, support_generator=gen)
 
     def test_mode_selection_errors(self):
         with pytest.raises(ValueError):

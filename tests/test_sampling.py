@@ -152,6 +152,16 @@ class TestCosetDecompose:
         with pytest.raises(ValueError, match=f"row {row} "):
             streams_from_csv(text, SamplingPattern(4, (1,), 1.0))
 
+    @pytest.mark.parametrize(
+        "body, row, fields",
+        [("0,1,0,2,0\n1,1,0,2\n", 1, 4), ("0,1,0,2,0\n1,1,0,2,0,3\n", 1, 6), ("0,1,0\n", 0, 3)],
+    )
+    def test_csv_field_count_checked_on_every_row(self, body, row, fields):
+        from subnyq.sampling import streams_from_csv
+
+        with pytest.raises(ValueError, match=f"row {row} has {fields} fields, expected 5"):
+            streams_from_csv("m,s0_re,s0_im,s1_re,s1_im\n" + body, SamplingPattern(4, (0, 2), 1.0))
+
 
 class TestMeasurementMatrix:
     def test_single_zero_offset_row(self):

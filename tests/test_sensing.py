@@ -191,6 +191,15 @@ class TestPdSweep:
         with pytest.raises(ValueError, match=name):
             pd_sweep(cfg, **args)
 
+    @pytest.mark.parametrize(
+        "pinned", [{"p": 4}, {"pattern": SamplingPattern(20, (0, 3, 10, 13), 0.05)}]
+    )
+    def test_template_pattern_and_p_rejected(self, pinned):
+        # one pattern is designed per compression ratio, so these were ignored
+        cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1, **pinned)
+        with pytest.raises(ValueError, match="pattern and p unset"):
+            pd_sweep(cfg, [0.0], [0.2], trials=5, seed=1)
+
     @pytest.mark.parametrize("key", [[5, 6, 1], [77, 4, 2**64 - 1], [0, 2, 0]])
     def test_coset_trials_sample_the_tone_at_the_coset_positions(self, key):
         from subnyq.sensing import _coset_trials

@@ -301,6 +301,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"row {row} "):
             timeseries_from_csv("n,re,im\n" + body, T=1.0)
 
+    @pytest.mark.parametrize(
+        "body, row, fields",
+        [("0,1.0,0.0\n1,2.0\n", 1, 2), ("0,1.0,0.0,9.0\n", 0, 4), ("4,1.0,0.0\n5\n", 1, 1)],
+    )
+    def test_timeseries_csv_field_count_checked(self, body, row, fields):
+        # a short row raised IndexError and extra columns were dropped
+        with pytest.raises(ValueError, match=f"row {row} has {fields} fields, expected 3"):
+            timeseries_from_csv("# comment\nn,re,im\n" + body, T=1.0)
+
 
 class TestFiniteSamples:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
