@@ -494,9 +494,12 @@ def estimate_support_batch(
         pseudo = _music_spectrum(vecs, A.entries, q_hats)
         threshold = None
         if select == "threshold":
-            # the columns span C^p, so some cell of each spectrum is finite
-            finite = np.where(np.isfinite(pseudo), pseudo, np.nan)
-            threshold = _MUSIC_THRESHOLD_FACTOR * np.nanmedian(finite, axis=-1)
+            # the median of each spectrum's m finite cells, which np.sort puts
+            # first (the columns span C^p, so m >= 1), as np.nanmedian takes it
+            m = np.isfinite(pseudo).sum(axis=-1, keepdims=True)
+            mid = np.concatenate(((m - 1) // 2, m // 2), axis=-1)
+            mid = np.take_along_axis(np.sort(pseudo, axis=-1), mid, axis=-1)
+            threshold = _MUSIC_THRESHOLD_FACTOR * ((mid[..., 0] + mid[..., 1]) / 2)
         chosen = _select_cells(pseudo, q_hats, threshold)
     else:
         total = np.trace(R, axis1=-2, axis2=-1).real

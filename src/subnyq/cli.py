@@ -196,7 +196,16 @@ def _validate(command: str, config: dict) -> dict:
             )
         resolved[name] = val
     _check_seed(command, resolved)
+    _check_cond_hist_mode(command, config)
     return resolved
+
+
+def _check_cond_hist_mode(command: str, config: dict) -> None:
+    """cond-hist draws random patterns against k or random supports against
+    C, N and d; refuse a config that gives both rather than drop one."""
+    extra = [f"'{f}'" for f in ("C", "N", "d") if config.get(f) is not None]
+    if command == "cond-hist" and config.get("k") is not None and extra:
+        raise ValidationError(f"cond-hist: 'k' (random patterns) conflicts with {', '.join(extra)} (random supports)")
 
 
 def _check_seed(command: str, cfg: dict) -> None:
@@ -334,6 +343,7 @@ def _cmd_pattern(cfg: dict) -> None:
         "L": res.pattern.L,
         "p": res.pattern.p,
         "C": list(res.pattern.C),
+        "T": res.pattern.T,
         "cond": res.cond,
         "evaluations": res.evaluations,
     }

@@ -10,9 +10,10 @@ Both searches score a stack of candidates in two passes.  A screen returns
 certified bounds lo <= cond <= hi for every candidate: its eigenvalue bounds
 widen by one roundoff term (at _CERT_ERR) that covers the SVD's own
 roundoff, so each candidate's SVD cond lies inside them.  The exact SVD then
-runs only on the candidates whose lo reaches the smallest hi (every
-candidate when each hi is infinite) and decides among them in row order, so
-the pick and the reported cond are those of an SVD over every candidate.
+decides in row order among the candidates whose lo reaches the smallest hi
+(every candidate when each hi is infinite), so the pick and the reported
+cond are those of an SVD over every candidate.  A greedy step other than the
+last skips the SVD when one candidate is left, since that one is the argmin.
 
 There are two screens.  The stacked screen takes the extreme eigenvalues of
 every candidate's row Gram from one eigvalsh, gathered from one table of
@@ -22,20 +23,23 @@ bordered by one row, so one eigh of that shared s x s Gram turns each
 candidate into an arrowhead matrix.  Its eigenvalues are the roots of a
 secular equation f(x) = 0 with f' <= -1 between poles, so an iterate x
 between the two poles that bracket a root is within |f(x)| of it.  A few
-vectorized rational steps approach sigma_max**2 (the largest root) and
-sigma_min**2 (the smallest root while r <= q, the root between the two
-smallest nonzero poles after that).  The exhaustive search, a single cell and
-steps with fewer than _SECULAR_MIN_WORK candidates * r**2 (where eigvalsh is
-cheaper) keep the stacked screen.  The greedy search scores no first step:
-every one-row candidate has cond exactly 1, so by shift invariance it starts
-from offset 0.  The criterion-9 design (L = 200, p = 20) then runs 22 SVDs
-and sends 594 stacked Grams to eigvalsh, of 3810 candidates.
+vectorized rational steps (pole axis first: sums over poles run on the
+leading axis) approach sigma_max**2 (the largest root) and sigma_min**2 (the
+smallest root while r <= q, the root between the two smallest nonzero poles
+after that).  The exhaustive search, a single cell and steps with fewer than
+_SECULAR_MIN_WORK candidates * r**2 (where eigvalsh is cheaper) keep the
+stacked screen; only they build every candidate's rows.  The greedy search
+scores no first step: every one-row candidate has cond exactly 1, so by shift
+invariance it starts from offset 0.  Of the 3810 candidates of the
+criterion-9 design (L = 200, p = 20), 22 reach the shortlists, 7 of them go
+to 4 SVDs, and 594 stacked Grams go to eigvalsh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterable
 
@@ -73,13 +77,13 @@ RANK_RTOL = 1e-12
 _EPS = np.finfo(float).eps
 _CERT_ERR = 64 * _EPS
 _SECULAR_STEPS = 3
-# A greedy step with fewer than _SECULAR_MIN_WORK candidates * r**2 keeps
-# the stacked screen.  On an (n, r) grid (n 10-400, r 2-20; one thread,
-# 2-vCPU x86_64 host) the stacked screen cost 0.075-0.15 us * n * r**2 at
-# every n, and the secular screen a fixed 0.15-0.2 ms (0.35 ms past r = q,
-# where it solves two root problems apart), so the crossover sat at
-# n * r**2 of about 2000 before r = q and 4000 past it; n * r**3 would have
-# put it anywhere from 3000 (n = 400) to 80000 (n = 10).
+# A greedy step with fewer than _SECULAR_MIN_WORK candidates * r**2 keeps the
+# stacked screen.  On an (n, r) grid (n 10-390, r 2-20; one thread, 2-vCPU
+# x86_64 host; the stacked screen building every candidate's rows) the two
+# crossed at n * r**2 of 600-3600 before r = q (lower at larger n) and
+# 2700-5500 past it.  Over 54 planner designs (L 20-200, p from L/10 to 3L/10)
+# the total search time moved under 3% for any crossover from 1500 to 4000, so
+# it stays at 4000, which the L = 32 designs favour.
 _SECULAR_MIN_WORK = 4000
 
 
@@ -123,8 +127,9 @@ def _cond_stack(mats: np.ndarray) -> np.ndarray:
 
 def _difference_table(L: int, karr: np.ndarray) -> np.ndarray:
     """D[m] = sum_k exp(2*pi*i*m*k/L): the row-Gram entry (A A^H)[a, b] of
-    offsets with c_a - c_b = m (mod L)."""
-    return np.exp(2j * np.pi * (np.outer(np.arange(L), karr) % L) / L).sum(axis=1)
+    offsets with c_a - c_b = m (mod L).  Offsets in [0, L) index it by their
+    difference alone, since numpy counts a negative m from the end."""
+    return np.exp(2j * np.pi * np.arange(L) / L)[np.outer(np.arange(L), karr) % L].sum(axis=1)
 
 
 def _cond_bounds(
@@ -146,35 +151,44 @@ def _stacked_screen(
     """Certified bounds lo <= cond <= hi for each row of trials (n, r), from
     one eigvalsh of each row's Gram, gathered from table (_difference_table)."""
     r = trials.shape[1]
-    ev = np.linalg.eigvalsh(table[(trials[:, :, np.newaxis] - trials[:, np.newaxis, :]) % L])
+    ev = np.linalg.eigvalsh(table[trials[:, :, np.newaxis] - trials[:, np.newaxis, :]])
     # sigma_min^2 is the min(r, q)-th largest eigenvalue; the rest are zero
     lmin, lmax = ev[:, r - min(r, len(karr))], ev[:, -1]
     return _cond_bounds(L, karr, trials.max(), r, (lmax, lmax), (lmin, lmin))
 
 
+def _bordered(chosen: np.ndarray, cands: np.ndarray, idx: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """The sorted offset rows chosen + c (len(idx), r) of the candidates c = cands[idx]."""
+    c = cands[idx, np.newaxis]
+    return np.sort(np.concatenate((np.repeat(chosen[np.newaxis], len(c), axis=0), c), axis=1), axis=1)
+
+
 def _svd_argmin(
-    L: int, trials: np.ndarray, karr: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    L: int, karr: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows_of: Callable, need_cond: bool = True
 ) -> tuple[int, float]:
-    """Index and cond of the first best-conditioned row of trials (n, r),
-    given certified bounds lo <= cond <= hi per row: the SVD decides in row
-    order among the rows whose lo reaches the smallest hi (all rows when
-    every hi is infinite), since no other row can be its argmin."""
+    """Index and cond of the first best-conditioned candidate, from certified
+    bounds lo <= cond <= hi and rows_of(idx), the offset rows of candidates
+    idx: the SVD decides in order among those whose lo reaches the smallest hi
+    (all when every hi is infinite).  A lone one holds the smallest hi and is
+    the argmin; without need_cond its cond is not computed (nan)."""
     rows = np.flatnonzero(lo <= hi.min())
-    conds = _cond_stack(_phase_matrix(L, trials[rows], karr))
+    if len(rows) == 1 and not need_cond:
+        return int(rows[0]), math.nan
+    conds = _cond_stack(_phase_matrix(L, rows_of(rows), karr))
     i = int(np.argmin(conds))
     return int(rows[i]), float(conds[i])
 
 
 def _pole_root(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Positive root t of t**2 - a*t - c = 0 (c >= 0), without cancellation."""
-    sq = np.sqrt(a * a + 4.0 * c)
-    return np.where(a > 0.0, 0.5 * (a + sq), 2.0 * c / (sq - a))
+    h = 0.5 * (np.abs(a) + np.sqrt(a * a + 4.0 * c))
+    return np.where(a > 0.0, h, c / h)
 
 
 def _top_root(lam: np.ndarray, w: np.ndarray, q: np.ndarray | float) -> np.ndarray:
     """Rational iterates x (..., n) toward the largest root of each secular
-    equation f(x) = q - x + sum_i w_i / (x - lam_i), with lam (..., 1, s)
-    ascending, w (..., n, s) >= 0 and q (..., 1).
+    equation f(x) = q - x + sum_i w_i / (x - lam_i), pole axis first: lam
+    (s, ..., 1) ascending, w (s, ..., n) >= 0 and q (..., 1).
 
     Each iterate stays right of that root (Bunch, Nielsen & Sorensen 1978):
     the start solves the one-pole quadratic with the top pole's own weight
@@ -186,27 +200,27 @@ def _top_root(lam: np.ndarray, w: np.ndarray, q: np.ndarray | float) -> np.ndarr
     reach (the largest eigenvalue is then the pole itself, and f < 0 just
     right of it says so to _root_bounds).
     """
-    top = lam[..., -1]
+    top = lam[-1]
+    g, a = top - lam, q - top
     floor = _EPS * (np.abs(top) + np.abs(q))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        frozen = (w[..., :-1] / (top[..., np.newaxis] - lam[..., :-1])).sum(axis=-1)
         t = np.fmin(
-            _pole_root(q - top + frozen, w[..., -1]),
-            np.maximum(top, q) - top + np.sqrt(w.sum(axis=-1)),
+            _pole_root(a + (w[:-1] / g[:-1]).sum(axis=0), w[-1]),
+            np.maximum(a, 0.0) + np.sqrt(w.sum(axis=0)),
         )
-        x = top + np.fmax(t, floor)
+        t = np.fmax(t, floor)
+        # in t = x - top, where each pole lies g below 0
         for _ in range(_SECULAR_STEPS):
-            d = x[..., np.newaxis] - lam
+            d = t + g
             u = w / d
-            t = x - top
-            c = (u / d).sum(axis=-1) * t * t
-            x = top + np.fmax(_pole_root(q - top + u.sum(axis=-1) - c / t, c), floor)
-    return x
+            c = (u / d).sum(axis=0) * t * t
+            t = np.fmax(_pole_root(a + u.sum(axis=0) - c / t, c), floor)
+    return top + t
 
 
 def _inner_root(lam: np.ndarray, w: np.ndarray, q: float, j: int) -> np.ndarray:
-    """Rational iterates x (n,) toward the root of each secular equation
-    (as in _top_root, lam (s,)) between the poles lam[j - 1] and lam[j].
+    """Rational iterates x (n,) toward the root of each secular equation (as
+    in _top_root; lam (s, 1), w (s, n)) between the poles lam[j - 1], lam[j].
 
     From the midpoint, whose sign of f tells which pole is nearer the root,
     each step solves the two-pole model a + P/(x - lo) + S/(x - hi) of the
@@ -214,37 +228,33 @@ def _inner_root(lam: np.ndarray, w: np.ndarray, q: float, j: int) -> np.ndarray:
     keeps its own weight, and the other pole's weight and a match the value
     and slope of f at x.  The model's root always lies between the poles.
     """
-    lo, hi = lam[j - 1], lam[j]
-    gap = hi - lo
-    x = np.full(w.shape[0], lo + 0.5 * gap)
+    lo, gap = lam[j - 1], lam[j] - lam[j - 1]
+    g, b = lam - lo, q - lo
+    t = np.full(w.shape[1:], 0.5 * gap)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # in t = x - lo, where those poles lie at 0 and gap
         for step in range(_SECULAR_STEPS):
-            d = x[:, np.newaxis] - lam
+            d = t - g
             u = w / d
             du = u / d
-            f = q - x + u.sum(axis=1)
+            f = b - t + u.sum(axis=0)
             if step == 0:
                 near_hi = f > 0.0
-            slope = 1.0 + du.sum(axis=1)
-            P = np.where(near_hi, (slope - du[:, j]) * (x - lo) ** 2, w[:, j - 1])
-            S = np.where(near_hi, w[:, j], (slope - du[:, j - 1]) * (x - hi) ** 2)
-            a = f - P / (x - lo) - S / (x - hi)
+            slope = 1.0 + du.sum(axis=0)
+            e = t - gap
+            P = np.where(near_hi, (slope - du[j]) * (t * t), w[j - 1])
+            S = np.where(near_hi, w[j], (slope - du[j - 1]) * (e * e))
+            a = f - P / t - S / e
             # the root in (0, gap) of a*t**2 + (P + S - a*gap)*t - P*gap
             B = P + S - a * gap
             sq = np.sqrt(B * B + 4.0 * a * P * gap)
-            x = lo + np.where(B > 0.0, 2.0 * P * gap / (B + sq), (sq - B) / (2.0 * a))
-    return x
+            t = np.where(B > 0.0, 2.0 * P * gap / (B + sq), (sq - B) / (2.0 * a))
+    return lo + t
 
 
 def _root_bounds(
-    lam: np.ndarray,
-    w: np.ndarray,
-    q: np.ndarray | float,
-    x: np.ndarray,
-    below: np.ndarray | float,
-    above: np.ndarray | float,
-    lo_cap: np.ndarray | float,
-    hi_cap: np.ndarray | float,
+    lam: np.ndarray, w: np.ndarray, q: np.ndarray | float, x: np.ndarray, below: np.ndarray | float,
+    above: np.ndarray | float, lo_cap: np.ndarray | float, hi_cap: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on the eigenvalue of each arrowhead [[diag(lam), z], [z^H, q]]
     (w = |z|**2, shapes of _top_root) that interlacing puts in [lo_cap,
@@ -260,9 +270,9 @@ def _root_bounds(
     """
     inside = (x > below) & (x < above)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = w / (x[..., np.newaxis] - lam)
-        f = q - x + u.sum(axis=-1)
-        f_err = (lam.shape[-1] + 4) * _EPS * (np.abs(q) + np.abs(x) + np.abs(u).sum(axis=-1))
+        u = w / (x - lam)
+        f = q - x + u.sum(axis=0)
+        f_err = (len(lam) + 4) * _EPS * (np.abs(q) + np.abs(x) + np.abs(u).sum(axis=0))
         radius = np.where(inside, np.abs(f) + f_err, np.inf)
         lo = np.where(inside & (f - f_err > 0.0), x, x - radius)
         hi = np.where(inside & (f + f_err < 0.0), x, x + radius)
@@ -274,9 +284,9 @@ def _outer_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """_root_bounds for the largest eigenvalue, which lies right of every pole
     and in [max(top, q), max(top, q) + |z|] (interlacing, the diagonal, Weyl)."""
-    top = lam[..., -1]
+    top = lam[-1]
     base = np.maximum(top, q)
-    return _root_bounds(lam, w, q, x, top, np.inf, base, base + np.sqrt(w.sum(axis=-1)))
+    return _root_bounds(lam, w, q, x, top, np.inf, base, base + np.sqrt(w.sum(axis=0)))
 
 
 def _secular_screen(
@@ -294,16 +304,17 @@ def _secular_screen(
     widens them by the roundoff term at _CERT_ERR, which also covers z.
     """
     q, s = len(karr), len(chosen)
-    lam, V = np.linalg.eigh(table[(chosen[:, np.newaxis] - chosen) % L])
-    z = V.conj().T @ table[(chosen[:, np.newaxis] - cands) % L]
-    w = (z.real**2 + z.imag**2).T
+    lam, V = np.linalg.eigh(table[chosen[:, np.newaxis] - chosen])
+    z = V.conj().T @ table[chosen[:, np.newaxis] - cands]
+    w = z.real**2 + z.imag**2
     if s < q:
-        lam2 = np.stack((lam, -lam[::-1]))[:, np.newaxis]
-        w2 = np.stack((w, w[:, ::-1]))
+        lam2 = np.stack((lam, -lam[::-1]), axis=1)[..., np.newaxis]
+        w2 = np.stack((w, w[::-1]), axis=1)
         q2 = np.array([[q], [-q]], dtype=float)
         lo2, hi2 = _outer_bounds(lam2, w2, q2, _top_root(lam2, w2, q2))
         top, bot = (lo2[0], hi2[0]), (-hi2[1], -lo2[1])
     else:
+        lam = lam[:, np.newaxis]
         top = _outer_bounds(lam, w, q, _top_root(lam, w, q))
         j = s - q + 1
         x = _inner_root(lam, w, q, j)
@@ -357,7 +368,7 @@ def exhaustive_pattern_search(
     combos = combinations(range(L), p)
     while block := list(islice(combos, 4096)):
         trials = np.asarray(block)
-        i, cond = _svd_argmin(L, trials, karr, *_stacked_screen(L, trials, karr, table))
+        i, cond = _svd_argmin(L, karr, *_stacked_screen(L, trials, karr, table), trials.__getitem__)
         if cond < best_cond:
             best_cond = cond
             best_C = block[i]
@@ -381,27 +392,26 @@ def sfs_pattern_search(
     Each later step screens its candidates (module docstring): the
     secular screen bounds every candidate's cond from one eigh of the chosen
     rows' Gram, the stacked screen (small steps) from one eigvalsh per
-    candidate, and the SVD decides among those the bounds keep.  Raises ValueError
-    unless 1 <= p <= L, k is built for L and k is not empty.
+    candidate.  The SVD decides among those the bounds keep, on the last
+    step and wherever they keep more than one; on the criterion-9 design it
+    runs 4 times, on 7 rows.  Raises ValueError unless 1 <= p <= L, k is
+    built for L and k is not empty.
     """
     _check_search(L, p, k)
     karr = np.asarray(k.k)
-    q = len(karr)
     table = _difference_table(L, karr)
-    chosen = np.zeros(1, dtype=int)
-    cands = np.arange(1, L)
-    final_cond = 1.0
-    for _ in range(p - 1):
-        r = len(chosen) + 1
-        rest = np.repeat(chosen[np.newaxis], len(cands), axis=0)
-        trial = np.sort(np.concatenate((rest, cands[:, np.newaxis]), axis=1), axis=1)
+    chosen, cands, final_cond = np.zeros(1, dtype=int), np.arange(1, L), 1.0
+    for r in range(2, p + 1):
         # the first of exactly equal conds is the smallest offset
-        if q > 1 and len(cands) * r**2 >= _SECULAR_MIN_WORK:
+        if len(karr) > 1 and len(cands) * r**2 >= _SECULAR_MIN_WORK:
             bounds = _secular_screen(L, table, chosen, cands, karr)
+            rows_of = partial(_bordered, chosen, cands)
         else:
+            trial = _bordered(chosen, cands)
             bounds = _stacked_screen(L, trial, karr, table)
-        i, final_cond = _svd_argmin(L, trial, karr, *bounds)
-        chosen, cands = trial[i], cands[cands != cands[i]]
+            rows_of = trial.__getitem__
+        i, final_cond = _svd_argmin(L, karr, *bounds, rows_of, need_cond=r == p)
+        chosen, cands = rows_of([i])[0], cands[cands != cands[i]]
     return PatternSearchResult(
         SamplingPattern(L, tuple(chosen.tolist()), T), final_cond, sfs_cost(L, p), design_k=k
     )

@@ -157,15 +157,21 @@ def coset_decompose(x: TimeSeries, pattern: SamplingPattern) -> CosetStreams:
     """Keep the base-rate samples at indices m*L + c_i as coset stream i.
 
     The input is zero-padded up to a multiple of L.  Indices are taken
-    relative to the start of the series.
+    relative to the start of the series.  Only the kept samples are copied,
+    and only the last, partial block is padded.
     """
     if abs(x.T - pattern.T) > 1e-12 * max(x.T, pattern.T):
         raise ValueError(f"series period {x.T} does not match pattern T {pattern.T}")
-    L = pattern.L
+    L, C = pattern.L, list(pattern.C)
     n = len(x.samples)
-    base = np.zeros(-(-n // L) * L, dtype=np.complex128)
-    base[:n] = x.samples
-    return CosetStreams(base.reshape(-1, L).T[list(pattern.C)], pattern)
+    full = n // L * L
+    out = np.zeros((len(C), -(-n // L)), dtype=np.complex128)
+    out[:, : n // L] = x.samples[:full].reshape(-1, L).T[C]
+    if full < n:
+        last = np.zeros(L, dtype=np.complex128)
+        last[: n - full] = x.samples[full:]
+        out[:, -1] = last[C]
+    return CosetStreams(out, pattern)
 
 
 def build_measurement_matrix(pattern: SamplingPattern) -> MeasurementMatrix:

@@ -60,6 +60,18 @@ def test_pattern_sfs_json(tmp_path, capsys):
     assert payload["version"]
 
 
+def test_designed_pattern_round_trips_into_reconstruct(tmp_path, spec_file):
+    # the pattern file carries its T, so reconstruct accepts it at f_max 5
+    pat = tmp_path / "p.json"
+    rc = main(["pattern", "--method", "sfs", "--L", "32", "--p", "12",
+               "--k", "0,1,2,3,9,10,11,12,13,24,25,26", "--T", "0.2", "--out", str(pat)])
+    assert rc == 0
+    assert json.loads(pat.read_text())["T"] == 0.2
+    rc = main(["reconstruct", "--spec", spec_file, "--pattern", str(pat), "--M", "1024",
+               "--out", str(tmp_path / "rec.csv")])
+    assert rc == 0
+
+
 def test_pattern_exhaustive_json(tmp_path):
     out = tmp_path / "pat.json"
     rc = main(["pattern", "--method", "exhaustive", "--L", "16", "--p", "5",
@@ -197,6 +209,21 @@ def test_cond_hist_command(tmp_path):
     assert lines[1] == "cond"
     assert len(lines) == 102
     assert (tmp_path / "bins.csv").read_text().splitlines()[0] == "bin_left,count"
+
+
+def test_cond_hist_k_conflicts_with_support_fields(tmp_path, capsys):
+    # k selects random patterns; C, N and d belong to the random-support mode
+    rc = main(["cond-hist", "--L", "16", "--p", "5", "--k", "3,4,5,10,11", "--C", "0,1,7,8,12",
+               "--N", "2", "--trials", "3", "--seed", "0", "--out", str(tmp_path / "h.csv")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "validation"
+    assert "'k' (random patterns) conflicts with 'C', 'N' (random supports)" in err["error"]
+    rc = main(["cond-hist", "--L", "16", "--p", "5", "--k", "3,4,5,10,11", "--d", "2",
+               "--trials", "3", "--seed", "0", "--out", str(tmp_path / "h.csv")])
+    assert rc == 2
+    assert "conflicts with 'd'" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "h.csv").exists()
 
 
 @pytest.mark.parametrize("N,d", [("3", "-1"), ("0", "1")])

@@ -89,7 +89,7 @@ def svd_exhaustive(L, p, k):
 
 def stacked_argmin(L, trials, karr, table):
     """Index and cond of the SVD's pick behind the stacked screen."""
-    return _svd_argmin(L, trials, karr, *_stacked_screen(L, trials, karr, table))
+    return _svd_argmin(L, karr, *_stacked_screen(L, trials, karr, table), trials.__getitem__)
 
 
 def random_design(rng, L_max, p_max):
@@ -100,6 +100,41 @@ def random_design(rng, L_max, p_max):
     cells = np.arange(0, L, 2) if rng.random() < 0.2 else np.arange(L)
     q = int(rng.integers(1, min(p, len(cells)) + 1))
     return L, p, SpectralIndexSet(tuple(sorted(rng.choice(cells, size=q, replace=False).tolist())), L)
+
+
+def wide_design(rng):
+    """(L, p, k) with L from 2 to 200 (log-uniform) and p up to L while
+    p*L <= 2000 (up to 16 past that); q up to p, or in one draw in four up to
+    2p + 4, so q > p; cells as in random_design.  The bounds keep the SVD
+    reference to about 10 s on a 2-vCPU host."""
+    L = int(np.exp(rng.uniform(np.log(2), np.log(201))))
+    p = int(rng.integers(1, min(L, max(16, 2000 // L)) + 1))
+    cells = np.arange(0, L, 2) if rng.random() < 0.2 else np.arange(L)
+    q_max = min(2 * p + 4 if rng.random() < 0.25 else p, len(cells))
+    q = int(rng.integers(1, q_max + 1))
+    return L, p, SpectralIndexSet(tuple(sorted(rng.choice(cells, size=q, replace=False).tolist())), L)
+
+
+def shortlist_counter(monkeypatch):
+    """Record the shortlist length (rows with lo <= min(hi)) of every
+    _svd_argmin call, and whether it had to report a cond."""
+    calls = []
+    svd_argmin = patterns._svd_argmin
+
+    def counted(L, karr, lo, hi, rows_of, need_cond=True):
+        calls.append((int((lo <= hi.min()).sum()), need_cond))
+        return svd_argmin(L, karr, lo, hi, rows_of, need_cond)
+
+    monkeypatch.setattr(patterns, "_svd_argmin", counted)
+    return calls
+
+
+def cond_stack_counter(monkeypatch):
+    """Record the row count of every _cond_stack call (every SVD batch)."""
+    scored = []
+    cond_stack = patterns._cond_stack
+    monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
+    return scored
 
 
 @pytest.fixture(params=["crossover", "secular_everywhere"])
@@ -117,9 +152,9 @@ class TestScreenedSearchMatchesSvd:
 
     def test_random_designs(self, screens):
         rng = np.random.default_rng(2024)
-        n_exhaustive = 0
-        for _ in range(300):
-            L, p, k = random_design(rng, 80, 24)
+        n_exhaustive = n_wide = n_q_over_p = 0
+        for _ in range(1500):
+            L, p, k = wide_design(rng)
             res = sfs_pattern_search(L, p, k)
             C, cond, evaluations = svd_sfs(L, p, k)
             assert (res.pattern.C, res.cond) == (C, cond), (L, p, k.k)
@@ -128,7 +163,9 @@ class TestScreenedSearchMatchesSvd:
                 res = exhaustive_pattern_search(L, p, k)
                 assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(L, p, k)
                 n_exhaustive += 1
-        assert n_exhaustive >= 30
+            n_wide += L >= 100
+            n_q_over_p += k.q > p
+        assert n_exhaustive >= 100 and n_wide >= 100 and n_q_over_p >= 100
 
     def test_small_exhaustive_designs(self):
         rng = np.random.default_rng(7)
@@ -179,11 +216,7 @@ class TestScreenedSearchMatchesSvd:
         # candidates, with cells at a random far shift so the phase exponents
         # m*k reach 10**10.  Best conds span 2e2 to 4e5, with near ties of
         # 1e-7, so some steps are screened and some go to the SVD whole.
-        from subnyq import patterns
-
-        scored = []
-        cond_stack = patterns._cond_stack
-        monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
+        scored = cond_stack_counter(monkeypatch)
         L, q, window = 10**5, 5, 30000
         n_screened = 0
         for seed in range(12):
@@ -200,15 +233,34 @@ class TestScreenedSearchMatchesSvd:
         assert n_screened >= 5
 
     def test_screen_spares_most_svds(self, monkeypatch):
-        # the criterion-9 design: 3810 candidates, 22 of them reach the SVD
-        # (step 1, offset 0 by shift invariance, runs none)
-        from subnyq import patterns
-
-        scored = []
-        cond_stack = patterns._cond_stack
-        monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
+        # the criterion-9 design: 3810 candidates, and the SVD runs only where
+        # the bounds leave more than one, and on the last step (step 1, offset
+        # 0 by shift invariance, runs none)
+        scored = cond_stack_counter(monkeypatch)
         _auto_pattern(200, 20, 2.0, 5)
-        assert sum(scored) <= 30
+        assert len(scored) <= 5 and sum(scored) <= 10
+
+    @pytest.mark.parametrize("L,p,seed", [(200, 20, 5), (20, 6, 7), (32, 12, 1)])
+    def test_svd_only_where_the_bounds_leave_a_choice(self, L, p, seed, monkeypatch):
+        # a step other than the last whose bounds leave one candidate runs no
+        # SVD, and the last step, whose cond is reported, always runs one
+        calls, scored = shortlist_counter(monkeypatch), cond_stack_counter(monkeypatch)
+        k = anchor_support(draw_anchors(p - 1, 0, L, np.random.default_rng([seed, L, p])), 0, L)
+        res = sfs_pattern_search(L, p, k)
+        assert [need for _, need in calls] == [False] * (p - 2) + [True]
+        assert len(scored) == sum(n > 1 or need for n, need in calls)
+        assert scored[-1] == calls[-1][0]
+        assert any(n == 1 for n, _ in calls[:-1]) and math.isfinite(res.cond)
+
+    def test_one_certified_row_skips_the_svd(self):
+        rows_of = np.array([[0, 1], [0, 2], [0, 3]]).__getitem__
+        lo, hi = np.array([1.0, 2.5, 3.0]), np.array([2.0, 4.0, np.inf])
+        asked = []
+        i, cond = _svd_argmin(8, np.array([0, 1]), lo, hi, lambda i: asked.append(i) or rows_of(i), False)
+        assert (i, asked) == (0, []) and math.isnan(cond)
+        i, cond = _svd_argmin(8, np.array([0, 1]), lo, hi, lambda i: asked.append(i) or rows_of(i), True)
+        assert i == 0 and [a.tolist() for a in asked] == [[0]]
+        assert cond == svd_conds(8, np.array([[0, 1]]), SpectralIndexSet((0, 1), 8))[0]
 
     def test_secular_screen_spares_most_eigvalsh(self, monkeypatch):
         # the criterion-9 design: the stacked screen scores only the Grams of
@@ -322,19 +374,17 @@ class TestSecularCertificate:
 
     @pytest.mark.parametrize("L,p", [(20, 6), (32, 12), (200, 20)])
     def test_shortlists_as_short_as_the_stacked_screens(self, L, p, monkeypatch):
-        # the bounds are tight enough that the SVD scores about as many
-        # candidates behind the secular screen as behind the stacked one
-        scored = []
-        cond_stack = patterns._cond_stack
-        monkeypatch.setattr(patterns, "_cond_stack", lambda m: scored.append(len(m)) or cond_stack(m))
+        # the bounds are tight enough that about as many candidates reach
+        # lo <= min(hi) behind the secular screen as behind the stacked one
+        calls = shortlist_counter(monkeypatch)
         counts = []
         for work in (math.inf, 0):
             monkeypatch.setattr(patterns, "_SECULAR_MIN_WORK", work)
-            scored.clear()
+            calls.clear()
             for seed in range(10):
                 k = anchor_support(draw_anchors(p - 1, 0, L, np.random.default_rng([seed, L, p])), 0, L)
                 sfs_pattern_search(L, p, k)
-            counts.append(sum(scored))
+            counts.append(sum(n for n, _ in calls))
         assert counts[1] <= 1.05 * counts[0]
 
     def test_iterate_off_its_bracket_certifies_nothing(self):
@@ -346,13 +396,14 @@ class TestSecularCertificate:
             z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             q = float(rng.uniform(1.0, 10.0))
             mu = np.linalg.eigvalsh(np.block([[np.diag(lam), z[:, None]], [z.conj()[None], np.array([[q]])]]))
-            w = np.abs(z[np.newaxis]) ** 2
-            lo, hi = _outer_bounds(lam, w, q, mu[-2:-1])
+            # pole axis first: poles (5, 1), weights (5, 1) of one candidate
+            poles, w = lam[:, np.newaxis], np.abs(z[:, np.newaxis]) ** 2
+            lo, hi = _outer_bounds(poles, w, q, mu[-2:-1])
             assert lo[0] - 1e-12 <= mu[-1] <= hi[0] + 1e-12
-            lo, hi = _root_bounds(lam, w, q, mu[-1:], lam[0], lam[1], lam[0], lam[1])
+            lo, hi = _root_bounds(poles, w, q, mu[-1:], lam[0], lam[1], lam[0], lam[1])
             assert lo[0] - 1e-12 <= mu[1] <= hi[0] + 1e-12
             # while the bounds from the interior iterates hold it
-            lo, hi = _root_bounds(lam, w, q, _inner_root(lam, w, q, 1), lam[0], lam[1], lam[0], lam[1])
+            lo, hi = _root_bounds(poles, w, q, _inner_root(poles, w, q, 1), lam[0], lam[1], lam[0], lam[1])
             assert lo[0] - 1e-12 <= mu[1] <= hi[0] + 1e-12
 
 

@@ -86,6 +86,19 @@ class TestCosetDecompose:
         assert cs.length == 10
         assert cs.samples.tolist() == [[1, 6], [4, 0]]
 
+    def test_matches_the_zero_padded_capture(self):
+        # stream i holds the capture, zero-padded to whole blocks, at m*L + c_i
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            L = int(rng.integers(1, 40))
+            n = int(rng.integers(1, 5 * L + 3))
+            C = tuple(sorted(rng.choice(L, int(rng.integers(1, L + 1)), replace=False).tolist()))
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            padded = np.zeros(-(-n // L) * L, dtype=complex)
+            padded[:n] = x
+            cs = coset_decompose(TimeSeries(x, 1.0), SamplingPattern(L, C, 1.0))
+            assert np.array_equal(cs.samples, padded.reshape(-1, L).T[list(C)]), (L, n, C)
+
     def test_compact_view(self):
         pat = SamplingPattern(4, (1, 2), 1.0)
         x = TimeSeries(np.arange(8, dtype=complex), 1.0)
