@@ -45,7 +45,12 @@ __all__ = [
     "nlls_localize",
     "estimate_support",
     "estimate_support_batch",
+    "ORDER_METHODS",
+    "LOCALIZE_METHODS",
 ]
+
+ORDER_METHODS = ("aic", "mdl", "eft")
+LOCALIZE_METHODS = ("music", "nlls")
 
 _EIG_FLOOR = 1e-300
 _EFT_THRESHOLD = 0.5  # relative profile mismatch that marks the break
@@ -447,10 +452,10 @@ def estimate_support_batch(
     values ("threshold"); the least-squares route stops at max(q_hat, 1)
     cells or when the residual falls below epsilon_rel times the total power.
     """
-    if order_method not in ("aic", "mdl", "eft"):
-        raise ValueError("order_method must be 'aic', 'mdl', or 'eft'")
-    if localize_method not in ("music", "nlls"):
-        raise ValueError("localize_method must be 'music' or 'nlls'")
+    if order_method not in ORDER_METHODS:
+        raise ValueError(f"order_method must be one of {ORDER_METHODS}")
+    if localize_method not in LOCALIZE_METHODS:
+        raise ValueError(f"localize_method must be one of {LOCALIZE_METHODS}")
     if select not in ("top", "threshold"):
         raise ValueError("select must be 'top' or 'threshold'")
     if streams.samples.ndim != 3:

@@ -44,6 +44,7 @@ from .signals import (
 __all__ = ["main", "run", "emit_plot_data", "SCHEMAS", "config_hash"]
 
 COMMANDS = ("synth", "pattern", "cond-hist", "reconstruct", "blind", "sense", "pd-sweep")
+_ORDER, _LOCALIZE = list(blind_mod.ORDER_METHODS), list(blind_mod.LOCALIZE_METHODS)
 
 SCHEMAS: dict[str, dict] = {
     "synth": {
@@ -104,8 +105,8 @@ SCHEMAS: dict[str, dict] = {
         "M": {"type": "int", "required": False, "default": 4096},
         "snr_db": {"type": "float", "required": False, "default": None},
         "seed": {"type": "int", "required": False, "default": None},
-        "order": {"type": "str", "required": False, "default": "mdl", "choices": ["aic", "mdl", "eft"]},
-        "localize": {"type": "str", "required": False, "default": "music", "choices": ["music", "nlls"]},
+        "order": {"type": "str", "required": False, "default": "mdl", "choices": _ORDER},
+        "localize": {"type": "str", "required": False, "default": "music", "choices": _LOCALIZE},
         "qmin": {"type": "int", "required": False, "default": 0},
         "qmax": {"type": "int", "required": False, "default": None},
         "epsilon": {"type": "float", "required": False, "default": 0.01, "help": "NLLS stop, relative to total power"},
@@ -115,8 +116,8 @@ SCHEMAS: dict[str, dict] = {
         "fmax": {"type": "float", "required": True},
         "B": {"type": "float", "required": True},
         "omega": {"type": "float", "required": True},
-        "order": {"type": "str", "required": False, "default": "mdl", "choices": ["aic", "mdl", "eft"]},
-        "localize": {"type": "str", "required": False, "default": "music", "choices": ["music", "nlls"]},
+        "order": {"type": "str", "required": False, "default": "mdl", "choices": _ORDER},
+        "localize": {"type": "str", "required": False, "default": "music", "choices": _LOCALIZE},
         "p": {"type": "int", "required": False, "default": None},
         "input": {"type": "path", "required": False, "default": None, "help": "TimeSeries CSV at T = 1/fmax"},
         "spec": {"type": "path", "required": False, "default": None},
@@ -135,7 +136,7 @@ SCHEMAS: dict[str, dict] = {
         "seed": {"type": "int", "required": True},
         "blocks": {"type": "int", "required": False, "default": 100},
         "metric": {"type": "str", "required": False, "default": "exact", "choices": ["exact", "contains"]},
-        "order": {"type": "str", "required": False, "default": "mdl", "choices": ["aic", "mdl", "eft"]},
+        "order": {"type": "str", "required": False, "default": "mdl", "choices": _ORDER},
         "out": {"type": "path", "required": True},
     },
 }
@@ -339,11 +340,8 @@ def _cmd_pattern(cfg: dict) -> None:
             res = patterns_mod.sfs_pattern_search(cfg["L"], cfg["p"], k, T=cfg["T"])
     payload = {
         **_provenance(cfg),
+        **res.pattern.to_dict(),
         "method": method,
-        "L": res.pattern.L,
-        "p": res.pattern.p,
-        "C": list(res.pattern.C),
-        "T": res.pattern.T,
         "cond": res.cond,
         "evaluations": res.evaluations,
     }
@@ -359,16 +357,9 @@ def _cmd_cond_hist(cfg: dict) -> None:
             k=SpectralIndexSet(tuple(cfg["k"]), cfg["L"]),
         )
     elif cfg["C"] is not None and cfg["N"] is not None:
-        pattern = SamplingPattern(cfg["L"], tuple(cfg["C"]))
-        N, d, L = cfg["N"], cfg["d"], cfg["L"]
-
-        def gen(rng: np.random.Generator) -> SpectralIndexSet:
-            anchors = patterns_mod.draw_anchors(N, d, L, rng)
-            return patterns_mod.anchor_support(anchors, d, L)
-
         vals = patterns_mod.cond_histogram(
             cfg["L"], cfg["p"], cfg["trials"], cfg["seed"],
-            pattern=pattern, support_generator=gen,
+            pattern=SamplingPattern(cfg["L"], tuple(cfg["C"])), N=cfg["N"], d=cfg["d"],
         )
     else:
         raise ValidationError("cond-hist needs either k (random patterns) or C plus N (random supports)")

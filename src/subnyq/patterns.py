@@ -6,6 +6,14 @@ cond over candidate offset sets: exhaustively for small problems, greedily
 (sequential forward selection) otherwise, and from a randomized candidate
 support when the true support is unknown.
 
+The matrix is a row selection of the DFT matrix: shifting every offset
+(C + t mod L) multiplies it by a unit diagonal and reflecting them (-C mod
+L) conjugates it, so neither moves cond (Venkataramani & Bresler 2000).
+Both searches score only sets that contain offset 0, and the greedy
+search's second step only c <= L/2.  Every phase comes reduced mod L from
+sampling._unit_phases, so the roundoff the screens allow for does not grow
+with L.
+
 Both searches score a stack of candidates in two passes.  A screen returns
 certified bounds lo <= cond <= hi for every candidate: its eigenvalue bounds
 widen by one roundoff term (at _CERT_ERR) that covers the SVD's own
@@ -28,11 +36,10 @@ leading axis) approach sigma_max**2 (the largest root) and sigma_min**2 (the
 smallest root while r <= q, the root between the two smallest nonzero poles
 after that).  The exhaustive search, a single cell and steps with fewer than
 _SECULAR_MIN_WORK candidates * r**2 (where eigvalsh is cheaper) keep the
-stacked screen; only they build every candidate's rows.  The greedy search
-scores no first step: every one-row candidate has cond exactly 1, so by shift
-invariance it starts from offset 0.  Of the 3810 candidates of the
-criterion-9 design (L = 200, p = 20), 22 reach the shortlists, 7 of them go
-to 4 SVDs, and 594 stacked Grams go to eigvalsh.
+stacked screen; only they build every candidate's rows.  Of the 3810
+candidates of the criterion-9 design (L = 200, p = 20), 3511 are scored, 21
+reach the shortlists, 5 of them go to 3 SVDs, and 495 stacked Grams go to
+eigvalsh.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .sampling import SamplingPattern, SpectralIndexSet, blind_parameters
+from .sampling import SamplingPattern, SpectralIndexSet, _unit_phases, blind_parameters
 
 __all__ = [
     "PatternSearchResult",
@@ -63,16 +70,17 @@ __all__ = [
 # relative singular-value floor below which a matrix counts as rank-deficient
 RANK_RTOL = 1e-12
 # Both screens widen their eigenvalue bounds by the roundoff term
-# _CERT_ERR * r * (1 + theta) * lmax, theta = 2*pi*max(c)*max(k)/L the
-# largest phase the SVD's matrix forms; by Weyl's theorem it covers every
-# error below.  Each difference-table entry sums q unit phases whose
-# exponents are reduced mod L first, so it is exact to about
-# 15*q*eps <= 15*eps*lmax whatever L is (lmax is at least q, the Gram's
-# diagonal), and the gather from it is exact.  eigvalsh, eigh and the SVD
-# are backward stable to a few r*eps*lmax.  The SVD's matrix takes its
-# phases unreduced, so its entries are off by up to (3*theta + 2)*eps, which
-# moves sigma**2 by up to 2*sqrt(r)*(3*theta + 2)*eps*lmax.  64 covers the
-# sum with room; the roundoff of f itself is bounded apart (_root_bounds).
+# _CERT_ERR * r * lmax, which by Weyl's theorem covers every error below
+# whatever L is.  Every phase is a gather from the table exp(2j*pi*m/L),
+# m < L (sampling._unit_phases), off by at most (3*pi + 2)*eps: three
+# roundings of 2*pi*m/L < 2*pi, and exp's own.  A difference-table entry sums
+# q of them, exact to about 15*q*eps <= 15*eps*lmax (lmax is at least q, the
+# Gram's diagonal), and the gather from it is exact.  Even at twice that,
+# (6*pi + 2)*eps per entry, the SVD's r x q matrix moves sigma**2 by at most
+# 2*sqrt(r*q)*(6*pi + 2)*eps*sqrt(lmax) <= 42*sqrt(r)*eps*lmax.  eigvalsh,
+# eigh and the SVD are backward stable to a few r*eps*lmax.  So at r = 2 the
+# sum, 59 + 15 + a few 2, is well below 64*r (a one-row Gram is q exactly).
+# The roundoff of f itself is bounded apart (_root_bounds).
 # _SECULAR_STEPS rational steps bring |f| below that term on separated poles.
 _EPS = np.finfo(float).eps
 _CERT_ERR = 64 * _EPS
@@ -111,11 +119,6 @@ def condition_number(A: np.ndarray) -> float:
     return float(_cond_stack(A))
 
 
-def _phase_matrix(L: int, C: np.ndarray, karr: np.ndarray) -> np.ndarray:
-    # scale-free form of the reduced measurement matrix (cond is scale invariant)
-    return np.exp(2j * np.pi * np.einsum("...i,j->...ij", C, karr) / L)
-
-
 def _cond_stack(mats: np.ndarray) -> np.ndarray:
     """condition_number of each matrix in a (..., r, q) stack."""
     s = np.linalg.svd(mats, compute_uv=False)
@@ -129,32 +132,29 @@ def _difference_table(L: int, karr: np.ndarray) -> np.ndarray:
     """D[m] = sum_k exp(2*pi*i*m*k/L): the row-Gram entry (A A^H)[a, b] of
     offsets with c_a - c_b = m (mod L).  Offsets in [0, L) index it by their
     difference alone, since numpy counts a negative m from the end."""
-    return np.exp(2j * np.pi * np.arange(L) / L)[np.outer(np.arange(L), karr) % L].sum(axis=1)
+    return _unit_phases(L, np.arange(L), karr).sum(axis=1)
 
 
-def _cond_bounds(
-    L: int, karr: np.ndarray, c_max: int, r: int, top: tuple, bot: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Certified bounds lo <= cond <= hi of r x q phase matrices with offsets
-    up to c_max, from bounds (lo, hi) on sigma_max**2 (top) and sigma_min**2
-    (bot) that the roundoff term at _CERT_ERR widens."""
-    err = _CERT_ERR * r * (1.0 + 2 * np.pi * c_max * karr.max() / L) * top[1]
+def _cond_bounds(r: int, top: tuple, bot: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds lo <= cond <= hi of r x q phase matrices, from bounds
+    (lo, hi) on sigma_max**2 (top) and sigma_min**2 (bot) that the roundoff
+    term at _CERT_ERR widens."""
+    err = _CERT_ERR * r * top[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = np.where(bot[1] + err > 0.0, np.sqrt((top[0] - err) / (bot[1] + err)), np.inf)
         hi = np.where(bot[0] - err > 0.0, np.sqrt((top[1] + err) / (bot[0] - err)), np.inf)
     return lo, hi
 
 
-def _stacked_screen(
-    L: int, trials: np.ndarray, karr: np.ndarray, table: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Certified bounds lo <= cond <= hi for each row of trials (n, r), from
-    one eigvalsh of each row's Gram, gathered from table (_difference_table)."""
+def _stacked_screen(table: np.ndarray, trials: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds lo <= cond <= hi for each row of trials (n, r) on q
+    cells, from one eigvalsh of each row's Gram, gathered from table
+    (_difference_table)."""
     r = trials.shape[1]
     ev = np.linalg.eigvalsh(table[trials[:, :, np.newaxis] - trials[:, np.newaxis, :]])
     # sigma_min^2 is the min(r, q)-th largest eigenvalue; the rest are zero
-    lmin, lmax = ev[:, r - min(r, len(karr))], ev[:, -1]
-    return _cond_bounds(L, karr, trials.max(), r, (lmax, lmax), (lmin, lmin))
+    lmin, lmax = ev[:, r - min(r, q)], ev[:, -1]
+    return _cond_bounds(r, (lmax, lmax), (lmin, lmin))
 
 
 def _bordered(chosen: np.ndarray, cands: np.ndarray, idx: np.ndarray | slice = slice(None)) -> np.ndarray:
@@ -174,7 +174,7 @@ def _svd_argmin(
     rows = np.flatnonzero(lo <= hi.min())
     if len(rows) == 1 and not need_cond:
         return int(rows[0]), math.nan
-    conds = _cond_stack(_phase_matrix(L, rows_of(rows), karr))
+    conds = _cond_stack(_unit_phases(L, rows_of(rows), karr))
     i = int(np.argmin(conds))
     return int(rows[i]), float(conds[i])
 
@@ -290,10 +290,10 @@ def _outer_bounds(
 
 
 def _secular_screen(
-    L: int, table: np.ndarray, chosen: np.ndarray, cands: np.ndarray, karr: np.ndarray
+    table: np.ndarray, chosen: np.ndarray, cands: np.ndarray, q: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified bounds lo <= cond <= hi for adding each of cands (n,) to
-    the chosen rows (s,), s >= 1, q >= 2.
+    the chosen rows (s,) on q cells, s >= 1, q >= 2.
 
     The chosen rows' Gram G = V diag(lam) V^H is bordered by
     b_c = D[(chosen - c) mod L] and q, which V turns into the arrowhead with
@@ -303,7 +303,7 @@ def _secular_screen(
     that the root between lam[s - q] and lam[s - q + 1].  _cond_bounds
     widens them by the roundoff term at _CERT_ERR, which also covers z.
     """
-    q, s = len(karr), len(chosen)
+    s = len(chosen)
     lam, V = np.linalg.eigh(table[chosen[:, np.newaxis] - chosen])
     z = V.conj().T @ table[chosen[:, np.newaxis] - cands]
     w = z.real**2 + z.imag**2
@@ -319,7 +319,7 @@ def _secular_screen(
         j = s - q + 1
         x = _inner_root(lam, w, q, j)
         bot = _root_bounds(lam, w, q, x, lam[j - 1], lam[j], lam[j - 1], lam[j])
-    return _cond_bounds(L, karr, max(chosen.max(), cands.max()), s + 1, top, bot)
+    return _cond_bounds(s + 1, top, bot)
 
 
 def _check_p(L: int, p: int) -> None:
@@ -344,13 +344,13 @@ def exhaustive_pattern_search(
 ) -> PatternSearchResult:
     """Minimize cond over all C(L, p) offset sets.
 
-    Returns the first minimum of the SVD conds in lexicographic order of C.
-    Shifted (C + t mod L) and reflected (-C mod L) sets have equal conds, so
-    the SVD's roundoff decides among them: the result need not contain 0.
-    Scores candidates through the stacked screen (module docstring).  Raises
-    ValueError unless 1 <= p <= L, k is built for L and k is not empty, and
-    refuses when the candidate count exceeds the budget; use
-    sfs_pattern_search for large problems.
+    Every set is a shift (C + t mod L, equal cond) of one that contains 0,
+    so only the C(L-1, p-1) sets with c_0 = 0 are scored; evaluations
+    counts the C(L, p) sets this decides.  Returns the first minimum of
+    their SVD conds in lexicographic order of C, scored through the stacked
+    screen (module docstring).  Raises ValueError unless 1 <= p <= L, k is
+    built for L and k is not empty, and refuses when C(L, p) exceeds the
+    budget; use sfs_pattern_search for large problems.
     """
     _check_search(L, p, k)
     total = math.comb(L, p)
@@ -365,17 +365,14 @@ def exhaustive_pattern_search(
     best_C: tuple[int, ...] | None = None
     # combinations() is lexicographic, so keeping strict improvements keeps
     # the first minimum under chunked evaluation
-    combos = combinations(range(L), p)
+    combos = ((0, *c) for c in combinations(range(1, L), p - 1))
     while block := list(islice(combos, 4096)):
         trials = np.asarray(block)
-        i, cond = _svd_argmin(L, karr, *_stacked_screen(L, trials, karr, table), trials.__getitem__)
+        i, cond = _svd_argmin(L, karr, *_stacked_screen(table, trials, len(karr)), trials.__getitem__)
         if cond < best_cond:
-            best_cond = cond
-            best_C = block[i]
+            best_cond, best_C = cond, block[i]
     assert best_C is not None
-    return PatternSearchResult(
-        SamplingPattern(L, best_C, T), best_cond, total, design_k=k
-    )
+    return PatternSearchResult(SamplingPattern(L, best_C, T), best_cond, total, design_k=k)
 
 
 def sfs_pattern_search(
@@ -387,31 +384,33 @@ def sfs_pattern_search(
     gives the smallest condition number on the columns k.  Candidates whose
     SVD conds are exactly equal resolve to the smallest offset; near ties at
     roundoff are decided by the SVD's roundoff.  Costs p*L - p*(p-1)/2
-    evaluations, of which step 1's L are settled by shift invariance: every
-    one-row candidate has cond exactly 1, so the first, offset 0, wins.
+    evaluations.  Symmetry settles step 1's L unscored (every one-row
+    candidate has cond exactly 1, so offset 0 wins) and step 2's c > L/2
+    ({0, c} reflects to {0, L - c}, of equal cond).
     Each later step screens its candidates (module docstring): the
     secular screen bounds every candidate's cond from one eigh of the chosen
     rows' Gram, the stacked screen (small steps) from one eigvalsh per
     candidate.  The SVD decides among those the bounds keep, on the last
     step and wherever they keep more than one; on the criterion-9 design it
-    runs 4 times, on 7 rows.  Raises ValueError unless 1 <= p <= L, k is
+    runs 3 times, on 5 rows.  Raises ValueError unless 1 <= p <= L, k is
     built for L and k is not empty.
     """
     _check_search(L, p, k)
     karr = np.asarray(k.k)
     table = _difference_table(L, karr)
-    chosen, cands, final_cond = np.zeros(1, dtype=int), np.arange(1, L), 1.0
+    chosen, rest, final_cond = np.zeros(1, dtype=int), np.arange(1, L), 1.0
     for r in range(2, p + 1):
-        # the first of exactly equal conds is the smallest offset
+        # {0, c} reflects to {0, L - c}; the first of equal conds is the smallest c
+        cands = rest[: L // 2] if r == 2 else rest
         if len(karr) > 1 and len(cands) * r**2 >= _SECULAR_MIN_WORK:
-            bounds = _secular_screen(L, table, chosen, cands, karr)
+            bounds = _secular_screen(table, chosen, cands, len(karr))
             rows_of = partial(_bordered, chosen, cands)
         else:
             trial = _bordered(chosen, cands)
-            bounds = _stacked_screen(L, trial, karr, table)
+            bounds = _stacked_screen(table, trial, len(karr))
             rows_of = trial.__getitem__
         i, final_cond = _svd_argmin(L, karr, *bounds, rows_of, need_cond=r == p)
-        chosen, cands = rows_of([i])[0], cands[cands != cands[i]]
+        chosen, rest = rows_of([i])[0], rest[rest != cands[i]]
     return PatternSearchResult(
         SamplingPattern(L, tuple(chosen.tolist()), T), final_cond, sfs_cost(L, p), design_k=k
     )
@@ -488,33 +487,31 @@ def cond_histogram(
     seed: int,
     k: SpectralIndexSet | None = None,
     pattern: SamplingPattern | None = None,
-    support_generator: Callable[[np.random.Generator], SpectralIndexSet] | None = None,
+    N: int | None = None,
+    d: int = 1,
 ) -> np.ndarray:
     """Sample condition numbers for histogramming.
 
     Two modes: with a fixed cell set k, draw `trials` random offset patterns;
-    with a fixed pattern plus a support generator, draw random supports
-    against it.  Deterministic given the seed.  Raises ValueError when L or p
-    disagrees with the pattern.
+    with a fixed pattern and a band count N, draw `trials` random supports
+    against it, each the d + 1 cells upward from N anchors of draw_anchors.
+    Deterministic given the seed.  Raises ValueError when L or p disagrees
+    with the pattern.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if (k is None) == (support_generator is None):
-        raise ValueError("provide exactly one of k or support_generator")
+    if (k is None) == (N is None):
+        raise ValueError("provide exactly one of k or N")
     rng = np.random.default_rng(seed)
     if k is not None:
-        karr = np.asarray(k.k)
         pats = np.stack(
             [np.sort(rng.choice(L, size=p, replace=False)) for _ in range(trials)]
         )
-        return _cond_stack(_phase_matrix(L, pats, karr))
+        return _cond_stack(_unit_phases(L, pats, k.k))
     if pattern is None:
-        raise ValueError("support_generator mode requires a fixed pattern")
+        raise ValueError("random supports need a fixed pattern")
     if (pattern.L, pattern.p) != (L, p):
         raise ValueError(f"L={L}, p={p} disagree with the pattern's L={pattern.L}, p={pattern.p}")
-    C = np.asarray(pattern.C)
-    vals = np.empty(trials)
-    for i in range(trials):
-        ki = support_generator(rng)
-        vals[i] = _cond_stack(_phase_matrix(L, C[None, :], np.asarray(ki.k)))[0]
-    return vals
+    # the anchors' cells never overlap, so every support has N*(d + 1) cells
+    cells = np.array([anchor_support(draw_anchors(N, d, L, rng), d, L).k for _ in range(trials)])
+    return _cond_stack(_unit_phases(L, pattern.C, cells).transpose(1, 0, 2))

@@ -25,6 +25,7 @@ from .sampling import (
     SamplingPattern,
     SpectralIndexSet,
     _one_capture,
+    _unit_phases,
     build_measurement_matrix,
     reduce_matrix,
 )
@@ -300,7 +301,7 @@ def reconstruct_time(
     X, h, center = _polyphase(streams, filt, np.arange(pattern.L))
     W, cond = _combining_matrix(pattern, k)
     L = pattern.L
-    B = np.exp(2j * np.pi * (np.outer(np.arange(L), k.k) % L) / L) @ W  # L x p
+    B = _unit_phases(L, np.arange(L), k.k) @ W  # L x p
     G = h * (center * B.T[:, np.newaxis, :])
     x_rec = (X.transpose(1, 0, 2).reshape(X.shape[1], -1) @ G.reshape(-1, L)).reshape(-1)
     n = streams.length if reference is None else min(streams.length, len(reference.samples))

@@ -111,9 +111,8 @@ class CosetStreams:
         s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim < 2 or s.shape[-2] != self.pattern.p:
             raise ValueError("samples must be a (..., p, length/L) array")
-        bad = np.argwhere(~np.isfinite(s))
-        if bad.size:
-            *capture, i, m = bad[0]
+        if not np.isfinite(s).all():
+            *capture, i, m = np.argwhere(~np.isfinite(s))[0]
             where = f" of capture {tuple(int(v) for v in capture)}" if capture else ""
             raise ValueError(f"stream {i}{where} has a non-finite sample at m={m}")
         object.__setattr__(self, "samples", s)
@@ -174,12 +173,19 @@ def coset_decompose(x: TimeSeries, pattern: SamplingPattern) -> CosetStreams:
     return CosetStreams(out, pattern)
 
 
+def _unit_phases(L: int, a, b) -> np.ndarray:
+    """exp(2j*pi*(a*b mod L)/L) for every pair of entries of the integer
+    arrays a and b, shape a.shape + b.shape: a gather from the L-entry table
+    exp(2j*pi*m/L), exact to a few eps however large a*b is.  The measurement
+    matrix, the pattern search and reconstruct_time take their phases here."""
+    product = np.multiply.outer(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    return np.exp(2j * np.pi * np.arange(L) / L)[product % L]
+
+
 def build_measurement_matrix(pattern: SamplingPattern) -> MeasurementMatrix:
     """Rows of the conjugate L x L DFT matrix selected by C, scaled by 1/(L*T)."""
     L, T = pattern.L, pattern.T
-    C = np.asarray(pattern.C)
-    phases = np.exp(2j * np.pi * np.outer(C, np.arange(L)) / L)
-    return MeasurementMatrix(phases / (L * T), pattern)
+    return MeasurementMatrix(_unit_phases(L, pattern.C, np.arange(L)) / (L * T), pattern)
 
 
 def reduce_matrix(A: MeasurementMatrix, k: SpectralIndexSet) -> np.ndarray:

@@ -37,10 +37,6 @@ __all__ = [
     "pd_sweep",
 ]
 
-_ORDER_METHODS = ("aic", "mdl", "eft")
-_LOCALIZE_METHODS = ("music", "nlls")
-
-
 @dataclass(frozen=True)
 class SensingConfig:
     """Sensing-run parameters.
@@ -69,10 +65,10 @@ class SensingConfig:
             raise ValueError(f"B={self.B} must divide f_max={self.f_max}")
         if not 0 < self.omega < 1:
             raise ValueError("omega must lie strictly between 0 and 1")
-        if self.order_method not in _ORDER_METHODS:
-            raise ValueError(f"order_method must be one of {_ORDER_METHODS}")
-        if self.localize_method not in _LOCALIZE_METHODS:
-            raise ValueError(f"localize_method must be one of {_LOCALIZE_METHODS}")
+        if self.order_method not in blind.ORDER_METHODS:
+            raise ValueError(f"order_method must be one of {blind.ORDER_METHODS}")
+        if self.localize_method not in blind.LOCALIZE_METHODS:
+            raise ValueError(f"localize_method must be one of {blind.LOCALIZE_METHODS}")
 
     @property
     def L(self) -> int:

@@ -32,6 +32,7 @@ from subnyq.patterns import (
     anchor_support,
     draw_anchors,
 )
+from subnyq.sampling import _unit_phases
 from subnyq.sensing import _auto_pattern
 
 K16 = SpectralIndexSet((3, 4, 5, 10, 11), 16)
@@ -53,10 +54,10 @@ def gram_cond(L, C, k):
 
 
 def svd_conds(L, trials, k):
-    """cond of every row of trials (n, r) by SVD of its phase matrix, with
-    the module's rank tolerance: how both searches scored every candidate
-    before the Gram screen."""
-    A = np.exp(2j * np.pi * np.einsum("...i,j->...ij", trials, np.asarray(k.k)) / L)
+    """cond of every row of trials (n, r) by SVD of its phase matrix, whose
+    exponents are reduced mod L, with the module's rank tolerance: how both
+    searches scored every candidate before the Gram screen."""
+    A = np.exp(2j * np.pi * (np.einsum("...i,j->...ij", trials, np.asarray(k.k)) % L) / L)
     s = np.linalg.svd(A, compute_uv=False)
     tol = s[..., 0] * 1e-12 * max(A.shape[-2:])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -66,12 +67,15 @@ def svd_conds(L, trials, k):
 
 @functools.lru_cache(maxsize=None)
 def svd_sfs(L, p, k):
-    """The greedy search with the SVD on every candidate (reference copy)."""
+    """The greedy search with the SVD on every candidate (reference copy);
+    from {0}, only c <= L/2 are scored, since {0, c} reflects to {0, L - c}."""
     chosen, evaluations, cond = [], 0, math.inf
     for _ in range(p):
         cands = [c for c in range(L) if c not in chosen]
-        conds = svd_conds(L, np.asarray([sorted(chosen + [c]) for c in cands]), k)
         evaluations += len(cands)
+        if chosen == [0]:
+            cands = cands[: L // 2]
+        conds = svd_conds(L, np.asarray([sorted(chosen + [c]) for c in cands]), k)
         i = int(np.argmin(conds))
         chosen = sorted(chosen + [cands[i]])
         cond = float(conds[i])
@@ -80,16 +84,31 @@ def svd_sfs(L, p, k):
 
 @functools.lru_cache(maxsize=None)
 def svd_exhaustive(L, p, k):
-    """The exhaustive search with the SVD on every candidate (reference)."""
-    combos = list(itertools.combinations(range(L), p))
+    """The exhaustive search with the SVD on every candidate that contains 0
+    (reference); every set is a shift of one of them."""
+    combos = [(0, *c) for c in itertools.combinations(range(1, L), p - 1)]
     conds = svd_conds(L, np.asarray(combos), k)
     i = int(np.argmin(conds))
-    return combos[i], float(conds[i]), len(combos)
+    return combos[i], float(conds[i]), math.comb(L, p)
+
+
+def svd_min_over_all_sets(L, p, k):
+    """The smallest SVD cond over all C(L, p) offset sets."""
+    return float(svd_conds(L, np.asarray(list(itertools.combinations(range(L), p))), k).min())
+
+
+def assert_exhaustive_matches_svd(L, p, k):
+    """The exhaustive search picks what the SVD reference picks, and its cond
+    is the best over every set, not only those that contain 0."""
+    res = exhaustive_pattern_search(L, p, k)
+    assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(L, p, k), (L, p, k.k)
+    best = svd_min_over_all_sets(L, p, k)
+    assert res.cond == best or abs(res.cond - best) <= 1e-12 * best, (L, p, k.k)
 
 
 def stacked_argmin(L, trials, karr, table):
     """Index and cond of the SVD's pick behind the stacked screen."""
-    return _svd_argmin(L, karr, *_stacked_screen(L, trials, karr, table), trials.__getitem__)
+    return _svd_argmin(L, karr, *_stacked_screen(table, trials, len(karr)), trials.__getitem__)
 
 
 def random_design(rng, L_max, p_max):
@@ -160,8 +179,7 @@ class TestScreenedSearchMatchesSvd:
             assert (res.pattern.C, res.cond) == (C, cond), (L, p, k.k)
             assert res.evaluations == evaluations == sfs_cost(L, p)
             if math.comb(L, p) <= 2000:
-                res = exhaustive_pattern_search(L, p, k)
-                assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(L, p, k)
+                assert_exhaustive_matches_svd(L, p, k)
                 n_exhaustive += 1
             n_wide += L >= 100
             n_q_over_p += k.q > p
@@ -171,8 +189,7 @@ class TestScreenedSearchMatchesSvd:
         rng = np.random.default_rng(7)
         for _ in range(100):
             L, p, k = random_design(rng, 14, 6)
-            res = exhaustive_pattern_search(L, p, k)
-            assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(L, p, k), (L, p, k.k)
+            assert_exhaustive_matches_svd(L, p, k)
 
     def test_rank_deficient_designs(self, screens):
         # all-even cells at L = 8: rows c and c + 4 coincide, so candidates
@@ -183,8 +200,7 @@ class TestScreenedSearchMatchesSvd:
                 k = SpectralIndexSet(tuple(range(0, 2 * q, 2)), 8)
                 res = sfs_pattern_search(8, p, k)
                 assert (res.pattern.C, res.cond, res.evaluations) == svd_sfs(8, p, k)
-                res = exhaustive_pattern_search(8, p, k)
-                assert (res.pattern.C, res.cond, res.evaluations) == svd_exhaustive(8, p, k)
+                assert_exhaustive_matches_svd(8, p, k)
                 trials = np.asarray(list(itertools.combinations(range(8), p)))
                 n_inf += int(np.isinf(svd_conds(8, trials, k)).sum())
         assert n_inf > 0
@@ -233,12 +249,12 @@ class TestScreenedSearchMatchesSvd:
         assert n_screened >= 5
 
     def test_screen_spares_most_svds(self, monkeypatch):
-        # the criterion-9 design: 3810 candidates, and the SVD runs only where
-        # the bounds leave more than one, and on the last step (step 1, offset
-        # 0 by shift invariance, runs none)
+        # the criterion-9 design: 3511 candidates scored, and the SVD runs
+        # only where the bounds leave more than one, and on the last step
+        # (3 calls on 5 rows; step 1, offset 0 by shift invariance, runs none)
         scored = cond_stack_counter(monkeypatch)
         _auto_pattern(200, 20, 2.0, 5)
-        assert len(scored) <= 5 and sum(scored) <= 10
+        assert len(scored) <= 4 and sum(scored) <= 8
 
     @pytest.mark.parametrize("L,p,seed", [(200, 20, 5), (20, 6, 7), (32, 12, 1)])
     def test_svd_only_where_the_bounds_leave_a_choice(self, L, p, seed, monkeypatch):
@@ -264,14 +280,14 @@ class TestScreenedSearchMatchesSvd:
 
     def test_secular_screen_spares_most_eigvalsh(self, monkeypatch):
         # the criterion-9 design: the stacked screen scores only the Grams of
-        # the steps below the crossover (r = 2..4, 594 of 3810)
+        # the steps below the crossover (r = 2..4, 495 of the 3511 scored)
         stacked = []
         stacked_screen = patterns._stacked_screen
         monkeypatch.setattr(
-            patterns, "_stacked_screen", lambda L, t, k, d: stacked.append(len(t)) or stacked_screen(L, t, k, d)
+            patterns, "_stacked_screen", lambda d, t, q: stacked.append(len(t)) or stacked_screen(d, t, q)
         )
-        assert _auto_pattern(200, 20, 2.0, 5).C[:4] == (0, 13, 16, 29)
-        assert sum(stacked) <= 700
+        assert _auto_pattern(200, 20, 2.0, 5).C[:4] == (0, 6, 16, 29)
+        assert sum(stacked) <= 600
 
 
 def bordered(L, chosen, cands=None):
@@ -289,7 +305,7 @@ def certified(L, karr, chosen, cands=None):
     karr, chosen = np.asarray(karr), np.sort(np.asarray(chosen))
     if cands is None:
         cands = np.setdiff1d(np.arange(L), chosen)
-    lo, hi = _secular_screen(L, _difference_table(L, karr), chosen, cands, karr)
+    lo, hi = _secular_screen(_difference_table(L, karr), chosen, cands, len(karr))
     conds = svd_conds(L, bordered(L, chosen, cands), SpectralIndexSet(tuple(karr.tolist()), L))
     bad = ~((lo <= conds) & (conds <= hi))
     assert not bad.any(), (L, karr.tolist(), chosen.tolist(), cands[bad], lo[bad], conds[bad], hi[bad])
@@ -300,7 +316,7 @@ def stacked_certified(L, karr, trials):
     """_stacked_screen's bounds for each row of trials (n, r), after checking
     that each row's SVD cond lies inside its bounds."""
     karr = np.asarray(karr)
-    lo, hi = _stacked_screen(L, trials, karr, _difference_table(L, karr))
+    lo, hi = _stacked_screen(_difference_table(L, karr), trials, len(karr))
     conds = svd_conds(L, trials, SpectralIndexSet(tuple(karr.tolist()), L))
     bad = ~((lo <= conds) & (conds <= hi))
     assert not bad.any(), (L, karr.tolist(), trials[bad], lo[bad], conds[bad], hi[bad])
@@ -425,7 +441,6 @@ class TestStackedCertificate:
             # evenly spaced cells: most Gram entries vanish
             stacked_certified(32, np.arange(1, 32, 8), random_rows(rng, 32, p, 300))
         for seed in range(12):
-            # the SVD's unreduced phases set the widths here (theta)
             rng = np.random.default_rng(seed)
             L, karr, chosen, cands = far_shifted_case(rng, int(rng.integers(1, 18)))
             stacked_certified(L, karr, bordered(L, chosen, cands))
@@ -441,13 +456,81 @@ class TestStackedCertificate:
         stacked_certified(L, karr, random_rows(np.random.default_rng(seed), L, trials.shape[1], 200))
 
 
+def is_image(L, C, D):
+    """Whether D is a shift (C + t mod L) or a reflected shift (t - C mod L) of C."""
+    C = np.asarray(C)
+    return tuple(D) in {tuple(sorted(((s * C + t) % L).tolist())) for s in (1, -1) for t in range(L)}
+
+
+def planner_cells(L, p, seed):
+    """The design cells of sensing._auto_pattern."""
+    return anchor_support(draw_anchors(max(p - 1, 1), 0, L, np.random.default_rng([seed, L, p])), 0, L)
+
+
+class TestLargeOffsets:
+    """At L = 10**5, offsets and cells near L make c*k reach 10**10.  Every
+    phase is reduced mod L, so neither the roundoff term nor the SVD's
+    error grows with them."""
+
+    PI = np.longdouble("3.141592653589793238462643383279502884")
+    L = 10**5
+
+    def near_top(self, rng, n, size=None):
+        """Offsets in the top n of [0, L)."""
+        return self.L - 1 - rng.choice(n, size, replace=False)
+
+    def test_certified_and_tight(self):
+        L = self.L
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            karr = np.sort(self.near_top(rng, 3000, int(rng.integers(2, 7))))
+            chosen = self.near_top(rng, 30000, int(rng.integers(1, 3 * len(karr))))
+            cands = np.setdiff1d(self.near_top(rng, 30000, 400), chosen)
+            certified(L, karr, chosen, cands)
+            lo, hi, conds = stacked_certified(L, karr, bordered(L, chosen, cands))
+            # the width is of order 64*r*eps*cond**3; a term growing like
+            # 2*pi*max(c)*max(k)/L (about 6e5 here) would not fit
+            assert (hi - lo <= 1e-11 * conds**3).all(), seed
+
+    def test_two_rows_against_the_closed_form(self):
+        # r = 2, where the SVD's phase error counts most against 64*r: the
+        # cond is sqrt((q + |b|)/(q - |b|)), b = sum_k exp(2*pi*i*m*k/L),
+        # m = c_1 - c_0, here in extended precision
+        L = self.L
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q = int(rng.integers(2, 9))
+            karr = np.sort(self.near_top(rng, 5000, q))
+            rows = np.sort(np.stack([self.near_top(rng, 30000, 2) for _ in range(300)]), axis=1)
+            lo, hi, _ = stacked_certified(L, karr, rows)
+            angle = 2 * self.PI * (np.multiply.outer(rows[:, 1] - rows[:, 0], karr) % L).astype(np.longdouble) / L
+            b = np.hypot(np.cos(angle).sum(axis=1), np.sin(angle).sum(axis=1))
+            exact = np.sqrt((q + b) / (q - b)).astype(float)
+            assert ((lo <= exact) & (exact <= hi)).all(), seed
+            # the searches' own SVD of the same rows
+            searched = patterns._cond_stack(_unit_phases(L, rows, karr))
+            assert (np.abs(searched - exact) <= 1e-12 * exact).all(), seed
+            # the secular screen's one-row step scores the same kind of rows
+            certified(L, karr, rows[0, :1], np.setdiff1d(self.near_top(rng, 30000, 300), rows[0, :1]))
+
+
 class TestPinnedPatterns:
-    """Patterns the acceptance criteria run on, read before the Gram screen."""
+    """Patterns the acceptance criteria run on.  Where a pin moved when the
+    searches came to score shift-canonical sets with phases reduced mod L,
+    the new pin is an image of the old one, with the same cond."""
+
+    def assert_equal_cond_image(self, L, old, new, k):
+        assert is_image(L, old, new)
+        conds = svd_conds(L, np.array([old, new]), k)
+        assert abs(conds[1] - conds[0]) <= 1e-12 * conds[0]
 
     def test_criterion_9_planner(self):
-        assert _auto_pattern(200, 20, 2.0, 5).C == (
-            0, 13, 16, 29, 41, 49, 52, 63, 78, 91, 104, 114, 125, 138, 144, 154, 167, 174, 177, 187,
+        new = _auto_pattern(200, 20, 2.0, 5).C
+        assert new == (
+            0, 6, 16, 29, 36, 39, 49, 62, 75, 78, 91, 103, 111, 114, 125, 140, 153, 166, 176, 187,
         )
+        old = (0, 13, 16, 29, 41, 49, 52, 63, 78, 91, 104, 114, 125, 138, 144, 154, 167, 174, 177, 187)
+        self.assert_equal_cond_image(200, old, new, planner_cells(200, 20, 5))
 
     def test_criterion_10_planner(self):
         # pd_sweep seeds the planner with cfg.seed + p (cfg.seed = 1)
@@ -458,8 +541,13 @@ class TestPinnedPatterns:
     def test_criterion_3_pattern(self):
         k = SpectralIndexSet((4, 5, 6, 7, 8, 15, 16, 17, 24, 25, 26), 32)
         res = sfs_pattern_search(32, 12, k, T=0.2)
-        assert res.pattern.C == (0, 1, 2, 6, 11, 12, 13, 18, 22, 23, 24, 28)
-        assert res.cond == 2.8478128421510727
+        assert res.pattern.C == (0, 1, 2, 7, 11, 12, 13, 17, 21, 22, 23, 27)
+        assert res.cond == 2.8478128421510718
+        self.assert_equal_cond_image(32, (0, 1, 2, 6, 11, 12, 13, 18, 22, 23, 24, 28), res.pattern.C, k)
+
+    def test_criterion_1_exhaustive(self):
+        res = exhaustive_pattern_search(16, 5, K16)
+        assert (res.pattern.C, res.evaluations) == ((0, 6, 7, 11, 15), 4368)
 
 
 class TestConditionNumber:
@@ -675,26 +763,21 @@ class TestCondHistogram:
 
     def test_random_supports_against_fixed_pattern(self):
         res = blind_sfs(3, 1.5, 20.0, 1, seed=2)
-
-        def gen(rng):
-            return anchor_support(draw_anchors(3, 1, 13, rng), 1, 13)
-
-        vals = cond_histogram(
-            13, 7, trials=200, seed=3, pattern=res.pattern, support_generator=gen
-        )
+        vals = cond_histogram(13, 7, trials=200, seed=3, pattern=res.pattern, N=3, d=1)
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= 1.0)
+        # one support per trial, drawn in turn from the seeded generator
+        rng = np.random.default_rng(3)
+        for v in vals[:20]:
+            k = anchor_support(draw_anchors(3, 1, 13, rng), 1, 13)
+            assert v == svd_conds(13, np.array([res.pattern.C]), k)[0]
 
     @pytest.mark.parametrize("L, p", [(16, 99), (16, 7), (13, 5), (13, 8)])
     def test_random_supports_need_the_patterns_L_and_p(self, L, p):
         pattern = blind_sfs(3, 1.5, 20.0, 1, seed=2).pattern
         assert (pattern.L, pattern.p) == (13, 7)
-
-        def gen(rng):
-            return anchor_support(draw_anchors(3, 1, 13, rng), 1, 13)
-
         with pytest.raises(ValueError, match=f"L={L}, p={p} disagree"):
-            cond_histogram(L, p, trials=5, seed=0, pattern=pattern, support_generator=gen)
+            cond_histogram(L, p, trials=5, seed=0, pattern=pattern, N=3, d=1)
 
     def test_mode_selection_errors(self):
         with pytest.raises(ValueError):

@@ -194,6 +194,22 @@ class TestMeasurementMatrix:
         gram = (LT**2) * (A @ A.conj().T)
         assert np.allclose(gram, pat.L * np.eye(pat.p), atol=1e-9 * pat.L)
 
+    def test_phases_reduced_mod_L(self):
+        # offsets and cells near L = 10**5, so c*l reaches 10**10: every
+        # phase stays within a few eps of the exact one, and products equal
+        # mod L give bit-equal phases
+        from subnyq.sampling import _unit_phases
+
+        L = 10**5
+        C = (L - 7, L - 3, L - 1)
+        A = build_measurement_matrix(SamplingPattern(L, C, 1.0)).entries * L
+        pi = np.longdouble("3.141592653589793238462643383279502884")
+        angle = 2 * pi * (np.outer(C, np.arange(L)) % L).astype(np.longdouble) / L
+        assert np.abs(A.real - np.cos(angle)).max() < 3e-15
+        assert np.abs(A.imag - np.sin(angle)).max() < 3e-15
+        same = _unit_phases(L, [3, L + 3], [L - 1, 2 * L - 1])
+        assert np.array_equal(same, np.full((2, 2), _unit_phases(L, [L - 1], [3])[0, 0]))
+
 
 class TestReduceMatrix:
     def test_identity_selection(self):
