@@ -11,77 +11,12 @@ pipeline with detection-probability sweeps.
 
 __version__ = "0.1.0"
 
-from .blind import (
-    BlindReport,
-    CorrelationMatrix,
-    EigenSpectrum,
-    OrderEstimate,
-    aic_order,
-    eft_order,
-    eigendecompose,
-    estimate_support,
-    estimate_support_batch,
-    mdl_order,
-    music_localize,
-    nlls_localize,
-    sample_correlation,
-)
-from .patterns import (
-    PatternSearchResult,
-    SearchBudgetError,
-    blind_sfs,
-    cond_histogram,
-    condition_number,
-    exhaustive_pattern_search,
-    sfs_cost,
-    sfs_pattern_search,
-)
-from .reconstruct import (
-    FrequencyReconstruction,
-    IllPosedError,
-    InterpolationFilter,
-    ReconstructionReport,
-    design_filter,
-    filter_streams,
-    pseudo_inverse,
-    reconstruct_frequency,
-    reconstruct_time,
-    spectral_index_from_support,
-)
-from .sampling import (
-    BlindParameters,
-    CosetStreams,
-    MeasurementMatrix,
-    SamplingPattern,
-    SpectralIndexSet,
-    average_rate,
-    blind_parameters,
-    build_measurement_matrix,
-    coset_decompose,
-    reduce_matrix,
-)
-from .sensing import (
-    PdPoint,
-    PdResult,
-    SensingConfig,
-    SensingPlan,
-    SensingReport,
-    pd_sweep,
-    plan_sensing,
-    sense,
-)
-from .signals import (
-    BandSpec,
-    MultibandSignalSpec,
-    NoiseModel,
-    SpectralSupport,
-    TimeSeries,
-    apply_noise,
-    bandlimited_noise,
-    lebesgue_measure,
-    nyquist_rate,
-    occupancy,
-    synthesize,
-)
+from .signals import *
+from .sampling import *
+from .patterns import *
+from .reconstruct import *
+from .blind import *
+from .sensing import *
 
+# every layer module's __all__, plus the layer modules themselves
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -178,41 +178,33 @@ def _itc_scores(vals: np.ndarray, M: int, p: int, q_min: int, q_max: int, mdl: b
     return scores
 
 
+def _itc_order(eigs, M: int, p: int, q_min: int, q_max: int | None, mdl: bool) -> OrderEstimate:
+    vals = _eigs_of(eigs, p)
+    scores = _itc_scores(vals, M, p, q_min, p - 1 if q_max is None else q_max, mdl)
+    return OrderEstimate(q_min + int(np.argmin(scores)), scores, "MDL" if mdl else "AIC")
+
+
 def aic_order(eigs, M: int, p: int, q_min: int = 0, q_max: int | None = None) -> OrderEstimate:
     """Akaike-criterion order: argmin of the sphericity data term plus r(2p-r).
 
     The data term compares geometric and arithmetic means of the p-r smallest
     eigenvalues; a flat (noise-only) tail makes it vanish.
     """
-    vals = _eigs_of(eigs, p)
-    if q_max is None:
-        q_max = p - 1
-    scores = _itc_scores(vals, M, p, q_min, q_max, mdl=False)
-    return OrderEstimate(q_min + int(np.argmin(scores)), scores, "AIC")
+    return _itc_order(eigs, M, p, q_min, q_max, mdl=False)
 
 
 def mdl_order(eigs, M: int, p: int, q_min: int = 0, q_max: int | None = None) -> OrderEstimate:
     """Minimum-description-length order: penalty (1/2) r(2p-r) log M."""
-    vals = _eigs_of(eigs, p)
-    if q_max is None:
-        q_max = p - 1
-    scores = _itc_scores(vals, M, p, q_min, q_max, mdl=True)
-    return OrderEstimate(q_min + int(np.argmin(scores)), scores, "MDL")
+    return _itc_order(eigs, M, p, q_min, q_max, mdl=True)
 
 
-def eft_order(
-    eigs,
-    M: int,
-    p: int,
-    threshold: float = _EFT_THRESHOLD,
-    q_max: int | None = None,
-) -> OrderEstimate:
+def eft_order(eigs, M: int, p: int, q_max: int | None = None) -> OrderEstimate:
     """Exponential-profile test: count eigenvalues fitting the noise tail.
 
     The two smallest eigenvalues seed the noise profile; each next-larger one
     is predicted by extrapolating the geometric ratio of the values already
     accepted as noise, and the first eigenvalue exceeding its prediction by
-    more than `threshold` (relative) marks the break.  The estimate is the
+    more than _EFT_THRESHOLD (relative) marks the break.  The estimate is the
     number of eigenvalues above the break, so it is at most p - 2 by
     construction (a profile needs two points).  criterion_values holds the
     relative mismatches per tested position (the two seed positions stay 0).
@@ -226,11 +218,11 @@ def eft_order(
         q_max = p - 1
     if not 0 <= q_max < p:
         raise ValueError("need 0 <= q_max < p")
-    q_hat, mismatches = _eft_orders(vals, p, threshold, q_max)
+    q_hat, mismatches = _eft_orders(vals, p, q_max)
     return OrderEstimate(int(q_hat), mismatches, "EFT")
 
 
-def _eft_orders(vals: np.ndarray, p: int, threshold: float, q_max: int):
+def _eft_orders(vals: np.ndarray, p: int, q_max: int):
     """EFT orders (at most q_max) and mismatches along the last axis of a
     stack: with ascending positions below m accepted as noise, position m is
     predicted as asc[m-1] * (asc[m-1] / asc[0]) ** (1 / (m-1)), so all
@@ -240,7 +232,7 @@ def _eft_orders(vals: np.ndarray, p: int, threshold: float, q_max: int):
     predicted = asc[..., m - 1] * (asc[..., m - 1] / asc[..., :1]) ** (1.0 / (m - 1))
     rel = (asc[..., m] - predicted) / predicted
     # the first break, len(m) when there is none; mismatches past it stay 0
-    breaks = np.append(rel > threshold, np.ones_like(asc[..., :1], bool), axis=-1)
+    breaks = np.append(rel > _EFT_THRESHOLD, np.ones_like(asc[..., :1], bool), axis=-1)
     first = np.argmax(breaks, axis=-1)
     mismatches = np.zeros((*asc.shape[:-1], max(p - 1, 0)))
     mismatches[..., 1:] = np.where(m - 2 <= first[..., np.newaxis], rel, 0.0)
@@ -447,10 +439,11 @@ def estimate_support_batch(
     number of independent snapshots (report.snapshots keeps the count).
     Every order method keeps q_hat in [q_min, q_max]: AIC and MDL search
     only that range, and the EFT count is clamped into it.  The pattern needs
-    p >= 2 cosets.  MUSIC selection takes the q_hat largest pseudo-spectrum
-    values ("top") or everything above ten times the median of the finite
-    values ("threshold"); the least-squares route stops at max(q_hat, 1)
-    cells or when the residual falls below epsilon_rel times the total power.
+    p >= 2 cosets, and the capture at least p transient-free snapshots.
+    MUSIC selection takes the q_hat largest pseudo-spectrum values ("top")
+    or everything above ten times the median of the finite values
+    ("threshold"); the least-squares route stops at max(q_hat, 1) cells or
+    when the residual falls below epsilon_rel times the total power.
     """
     if order_method not in ORDER_METHODS:
         raise ValueError(f"order_method must be one of {ORDER_METHODS}")
@@ -479,15 +472,16 @@ def estimate_support_batch(
         L, n_taps, passband_ripple=0.02, stopband_ripple=1e-3, transition="inside"
     )
     lo, hi = valid_range(streams.length, filt)
-    if hi - lo < L:
-        raise ValueError("series too short: no transient-free snapshots remain")
     M_corr = len(range(lo, hi, L))
+    if M_corr < p:
+        # below p snapshots R has rank below p whatever the signal
+        raise ValueError(f"series too short: {M_corr} transient-free snapshots for p={p} cosets")
     R = _correlate(filter_streams(streams, filt, lo, hi))
     vals, vecs = _eigh_descending(R)
     _check_correlation(R, vals)
     _check_descending(vals)
     if order_method == "eft":
-        q_hats, criteria = _eft_orders(vals, p, _EFT_THRESHOLD, q_max)
+        q_hats, criteria = _eft_orders(vals, p, q_max)
         q_hats = np.maximum(q_hats, q_min)
     else:
         M_ind = M_corr * _independent_fraction(filt)

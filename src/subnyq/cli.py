@@ -44,17 +44,26 @@ from .signals import (
 __all__ = ["main", "run", "emit_plot_data", "SCHEMAS", "config_hash"]
 
 COMMANDS = ("synth", "pattern", "cond-hist", "reconstruct", "blind", "sense", "pd-sweep")
-_ORDER, _LOCALIZE = list(blind_mod.ORDER_METHODS), list(blind_mod.LOCALIZE_METHODS)
+
+# fields that more than one command declares
+_NOISE = {
+    "noise": {"type": "str", "required": False, "default": "none", "choices": ["none", "awgn", "quantizer"]},
+    "sigma": {"type": "float", "required": False, "default": 0.0},
+    "bits": {"type": "int", "required": False, "default": 8},
+    "full_scale": {"type": "float", "required": False, "default": 1.0},
+}
+_ORDER = {"order": {"type": "str", "required": False, "default": "mdl", "choices": list(blind_mod.ORDER_METHODS)}}
+_DETECTION = {
+    **_ORDER,
+    "localize": {"type": "str", "required": False, "default": "music", "choices": list(blind_mod.LOCALIZE_METHODS)},
+}
 
 SCHEMAS: dict[str, dict] = {
     "synth": {
         "spec": {"type": "path", "required": True, "help": "signal-spec JSON"},
         "T": {"type": "float", "required": False, "default": None, "help": "base period (default 1/f_max)"},
         "M": {"type": "int", "required": True, "help": "sample count"},
-        "noise": {"type": "str", "required": False, "default": "none", "choices": ["none", "awgn", "quantizer"]},
-        "sigma": {"type": "float", "required": False, "default": 0.0},
-        "bits": {"type": "int", "required": False, "default": 8},
-        "full_scale": {"type": "float", "required": False, "default": 1.0},
+        **_NOISE,
         "seed": {"type": "int", "required": False, "default": None},
         "out": {"type": "path", "required": True},
     },
@@ -90,10 +99,7 @@ SCHEMAS: dict[str, dict] = {
         "p": {"type": "int", "required": False, "default": None},
         "Nh": {"type": "int", "required": False, "default": 383},
         "M": {"type": "int", "required": True},
-        "noise": {"type": "str", "required": False, "default": "none", "choices": ["none", "awgn", "quantizer"]},
-        "sigma": {"type": "float", "required": False, "default": 0.0},
-        "bits": {"type": "int", "required": False, "default": 8},
-        "full_scale": {"type": "float", "required": False, "default": 1.0},
+        **_NOISE,
         "seed": {"type": "int", "required": False, "default": None},
         "out": {"type": "path", "required": True, "help": "reconstructed CSV"},
         "report": {"type": "path", "required": False, "default": None, "help": "JSON report (default: out + .json)"},
@@ -105,8 +111,7 @@ SCHEMAS: dict[str, dict] = {
         "M": {"type": "int", "required": False, "default": 4096},
         "snr_db": {"type": "float", "required": False, "default": None},
         "seed": {"type": "int", "required": False, "default": None},
-        "order": {"type": "str", "required": False, "default": "mdl", "choices": _ORDER},
-        "localize": {"type": "str", "required": False, "default": "music", "choices": _LOCALIZE},
+        **_DETECTION,
         "qmin": {"type": "int", "required": False, "default": 0},
         "qmax": {"type": "int", "required": False, "default": None},
         "epsilon": {"type": "float", "required": False, "default": 0.01, "help": "NLLS stop, relative to total power"},
@@ -116,8 +121,7 @@ SCHEMAS: dict[str, dict] = {
         "fmax": {"type": "float", "required": True},
         "B": {"type": "float", "required": True},
         "omega": {"type": "float", "required": True},
-        "order": {"type": "str", "required": False, "default": "mdl", "choices": _ORDER},
-        "localize": {"type": "str", "required": False, "default": "music", "choices": _LOCALIZE},
+        **_DETECTION,
         "p": {"type": "int", "required": False, "default": None},
         "input": {"type": "path", "required": False, "default": None, "help": "TimeSeries CSV at T = 1/fmax"},
         "spec": {"type": "path", "required": False, "default": None},
@@ -136,7 +140,7 @@ SCHEMAS: dict[str, dict] = {
         "seed": {"type": "int", "required": True},
         "blocks": {"type": "int", "required": False, "default": 100},
         "metric": {"type": "str", "required": False, "default": "exact", "choices": ["exact", "contains"]},
-        "order": {"type": "str", "required": False, "default": "mdl", "choices": _ORDER},
+        **_ORDER,
         "out": {"type": "path", "required": True},
     },
 }
@@ -196,29 +200,30 @@ def _validate(command: str, config: dict) -> dict:
                 f"{command}: field '{name}' must be one of {meta['choices']}"
             )
         resolved[name] = val
-    _check_seed(command, resolved)
-    _check_cond_hist_mode(command, config)
+    _check_given(command, config, resolved)
     return resolved
 
 
-def _check_cond_hist_mode(command: str, config: dict) -> None:
-    """cond-hist draws random patterns against k or random supports against
-    C, N and d; refuse a config that gives both rather than drop one."""
-    extra = [f"'{f}'" for f in ("C", "N", "d") if config.get(f) is not None]
-    if command == "cond-hist" and config.get("k") is not None and extra:
-        raise ValidationError(f"cond-hist: 'k' (random patterns) conflicts with {', '.join(extra)} (random supports)")
-
-
-def _check_seed(command: str, cfg: dict) -> None:
+def _check_given(command: str, config: dict, cfg: dict) -> None:
+    """Checks on the given config, where the resolved cfg would show schema
+    defaults.  A stochastic run needs a given seed (sense's defaults to 0).
+    cond-hist draws random patterns against k or random supports against C,
+    N and d, and blind-sfs designs at T = 1/fmax; each refuses a field it
+    would otherwise drop."""
     stochastic = command in _ALWAYS_STOCHASTIC
-    if command == "pattern" and cfg.get("method") == "blind-sfs":
+    if command == "pattern" and cfg["method"] == "blind-sfs":
         stochastic = True
+        if config.get("T") is not None:
+            raise ValidationError("pattern blind-sfs takes T = 1/fmax; it refuses 'T'")
     if cfg.get("noise") == "awgn" and cfg.get("sigma", 0.0):
         stochastic = True
     if command in ("blind", "sense") and cfg.get("snr_db") is not None:
         stochastic = True
-    if stochastic and cfg.get("seed") is None:
+    if stochastic and config.get("seed") is None:
         raise ValidationError(f"{command}: stochastic run requires an explicit seed")
+    extra = [f"'{f}'" for f in ("C", "N", "d") if config.get(f) is not None]
+    if command == "cond-hist" and config.get("k") is not None and extra:
+        raise ValidationError(f"cond-hist: 'k' (random patterns) conflicts with {', '.join(extra)} (random supports)")
 
 
 def _provenance(config: dict) -> dict:
@@ -291,12 +296,7 @@ def _load_pattern(path: str) -> SamplingPattern:
 
 
 def _noise_from_cfg(cfg: dict) -> NoiseModel:
-    kind = cfg.get("noise", "none")
-    if kind == "awgn":
-        return NoiseModel.awgn(cfg["sigma"])
-    if kind == "quantizer":
-        return NoiseModel.quantizer(cfg["bits"], cfg["full_scale"])
-    return NoiseModel.none()
+    return NoiseModel(cfg["noise"], cfg["sigma"], cfg["bits"], cfg["full_scale"])
 
 
 def _synth_input(spec: MultibandSignalSpec, M: int, snr_db, seed) -> TimeSeries:

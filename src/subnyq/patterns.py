@@ -465,9 +465,8 @@ def blind_sfs(
     d: int,
     seed: int,
     L: int | None = None,
-    T: float | None = None,
 ) -> PatternSearchResult:
-    """Pattern choice for unknown band locations.
+    """Pattern choice for unknown band locations, at base period T = 1/f_max.
 
     Derives (L, q_max, p) from the band count and width, places a maximal
     candidate support at random anchors, and runs the greedy search against
@@ -477,7 +476,7 @@ def blind_sfs(
     params = blind_parameters(N, B, f_max, d)
     L_eff = params.L if L is None else L
     rng = np.random.default_rng(seed)
-    return _anchored_sfs(L_eff, min(params.p, L_eff), N, d, rng, 1.0 / f_max if T is None else T)
+    return _anchored_sfs(L_eff, min(params.p, L_eff), N, d, rng, 1.0 / f_max)
 
 
 def cond_histogram(

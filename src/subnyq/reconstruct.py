@@ -82,7 +82,6 @@ class InterpolationFilter:
 
     taps: np.ndarray
     L: int
-    cutoff: float
     group_delay: int
     transition_width: float
     passband_edge: float
@@ -160,7 +159,6 @@ def design_filter(
     return InterpolationFilter(
         taps=hr * np.exp(1j * np.pi * n / L),
         L=L,
-        cutoff=1.0 / L,
         group_delay=(N_h - 1) // 2,
         transition_width=trans,
         passband_edge=pass_edge,
@@ -336,7 +334,6 @@ class FrequencyReconstruction:
 
     cell_spectra: np.ndarray  # q x n_bins, DFT scale of the base sequence
     k: SpectralIndexSet
-    bins: np.ndarray  # bin frequencies in Hz
     cond: float
 
     def assemble_full_spectrum(self, length: int) -> np.ndarray:
@@ -366,9 +363,7 @@ def reconstruct_frequency(
     _one_capture(streams)
     pattern = streams.pattern
     W, cond = _combining_matrix(pattern, k)
-    n = streams.length
     nb = streams.samples.shape[1]
-    twiddle = np.exp(-2j * np.pi * np.outer(pattern.C, np.arange(nb)) / n)
+    twiddle = _unit_phases(streams.length, pattern.C, np.arange(nb)).conj()
     Z = W @ (np.fft.fft(streams.samples, axis=1) * twiddle)
-    bins = np.arange(nb) / (n * pattern.T)
-    return FrequencyReconstruction(cell_spectra=Z, k=k, bins=bins, cond=cond)
+    return FrequencyReconstruction(cell_spectra=Z, k=k, cond=cond)

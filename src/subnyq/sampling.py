@@ -149,7 +149,6 @@ class BlindParameters:
     q_max: int
     p: int
     q_bounds: tuple[int, int]
-    d: int
 
 
 def coset_decompose(x: TimeSeries, pattern: SamplingPattern) -> CosetStreams:
@@ -177,7 +176,8 @@ def _unit_phases(L: int, a, b) -> np.ndarray:
     """exp(2j*pi*(a*b mod L)/L) for every pair of entries of the integer
     arrays a and b, shape a.shape + b.shape: a gather from the L-entry table
     exp(2j*pi*m/L), exact to a few eps however large a*b is.  The measurement
-    matrix, the pattern search and reconstruct_time take their phases here."""
+    matrix, the pattern search and both reconstructions take their phases
+    here."""
     product = np.multiply.outer(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
     return np.exp(2j * np.pi * np.arange(L) / L)[product % L]
 
@@ -221,7 +221,7 @@ def blind_parameters(N: int, B: float, f_max: float, d: int) -> BlindParameters:
     q_max = min(N * (d + 1), L)
     p = min(q_max + 1, L)
     q_lo = min(int(math.ceil(N * B * L / f_max)), q_max)
-    return BlindParameters(L=L, q_max=q_max, p=p, q_bounds=(q_lo, q_max), d=d)
+    return BlindParameters(L=L, q_max=q_max, p=p, q_bounds=(q_lo, q_max))
 
 
 def streams_to_csv(cs: CosetStreams, header_comment: str = "") -> str:
@@ -233,5 +233,5 @@ def streams_to_csv(cs: CosetStreams, header_comment: str = "") -> str:
 
 
 def streams_from_csv(text: str, pattern: SamplingPattern) -> CosetStreams:
-    _, data = _csv_rows(text, "m", 2 * pattern.p)
+    data = _csv_rows(text, "m", 2 * pattern.p)
     return CosetStreams(data[:, 0::2].T + 1j * data[:, 1::2].T, pattern)

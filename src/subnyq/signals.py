@@ -127,7 +127,6 @@ class TimeSeries:
 
     samples: np.ndarray
     T: float
-    origin: int = 0
 
     def __post_init__(self):
         if self.T <= 0:
@@ -239,10 +238,9 @@ def synthesize(spec: MultibandSignalSpec, T: float, M: int) -> TimeSeries:
     return TimeSeries(x, T)
 
 
-def bandlimited_noise(
-    F: SpectralSupport, T: float, M: int, seed: int, rms: float = 1.0
-) -> TimeSeries:
-    """Stationary complex Gaussian signal whose DFT support lies exactly in F.
+def bandlimited_noise(F: SpectralSupport, T: float, M: int, seed: int) -> TimeSeries:
+    """Stationary complex Gaussian signal of unit rms whose DFT support lies
+    exactly in F.
 
     Useful as a communication-like test input for sensing experiments: unlike
     the pulsed sinc model, its per-cell contents are mutually incoherent.
@@ -263,8 +261,8 @@ def bandlimited_noise(
         spec[mask] = (
             rng.standard_normal(n_active) + 1j * rng.standard_normal(n_active)
         ) / np.sqrt(2.0)
-        # ifft carries 1/M; rescale so the output rms equals the requested value
-        x = np.fft.ifft(spec) * (rms * M / math.sqrt(n_active))
+        # ifft carries 1/M; rescale so the output rms is 1
+        x = np.fft.ifft(spec) * (M / math.sqrt(n_active))
     return TimeSeries(x, T)
 
 
@@ -280,7 +278,7 @@ def apply_noise(x: TimeSeries, model: NoiseModel, seed: int = 0) -> TimeSeries:
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
             model.sigma / np.sqrt(2.0)
         )
-        return TimeSeries(x.samples + noise, x.T, x.origin)
+        return TimeSeries(x.samples + noise, x.T)
     # mid-rise quantizer with saturation; error <= step/2 for in-range input
     step = model.full_scale / (2**model.bits)
     lo = -model.full_scale / 2 + step / 2
@@ -289,7 +287,7 @@ def apply_noise(x: TimeSeries, model: NoiseModel, seed: int = 0) -> TimeSeries:
     def q(v: np.ndarray) -> np.ndarray:
         return np.clip(step * (np.floor(v / step) + 0.5), lo, hi)
 
-    return TimeSeries(q(x.samples.real) + 1j * q(x.samples.imag), x.T, x.origin)
+    return TimeSeries(q(x.samples.real) + 1j * q(x.samples.imag), x.T)
 
 
 def _csv_text(comment: str, columns, rows) -> str:
@@ -303,11 +301,11 @@ def _csv_text(comment: str, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_rows(text: str, index: str, width: int) -> tuple[int, np.ndarray]:
+def _csv_rows(text: str, index: str, width: int) -> np.ndarray:
     """Read _csv_text output whose first column, named index, numbers the
-    rows: the first index and the (rows, width) float array of the other
-    columns.  Skips blank and "#" lines and the header; every data row must
-    hold 1 + width fields, and the index must run contiguous and ascending."""
+    rows: the (rows, width) float array of the other columns.  Skips blank
+    and "#" lines and the header; every data row must hold 1 + width fields,
+    and the index must run contiguous and ascending from any start."""
     rows = [
         line.split(",")
         for line in text.splitlines()
@@ -320,16 +318,16 @@ def _csv_rows(text: str, index: str, width: int) -> tuple[int, np.ndarray]:
         n = int(fields[0])
         if n != start + row:
             raise ValueError(f"CSV data row {row} has index {n}, expected {start + row}")
-    return start, np.array([[float(v) for v in r[1:]] for r in rows]).reshape(-1, width)
+    return np.array([[float(v) for v in r[1:]] for r in rows]).reshape(-1, width)
 
 
 def timeseries_to_csv(ts: TimeSeries, header_comment: str = "") -> str:
-    """Render a TimeSeries as CSV with columns n, re, im."""
-    n = range(ts.origin, ts.origin + len(ts))
-    rows = zip(n, ts.samples.real.tolist(), ts.samples.imag.tolist())
+    """Render a TimeSeries as CSV with columns n, re, im; n counts from 0."""
+    rows = zip(range(len(ts)), ts.samples.real.tolist(), ts.samples.imag.tolist())
     return _csv_text(header_comment, ["n", "re", "im"], rows)
 
 
 def timeseries_from_csv(text: str, T: float) -> TimeSeries:
-    origin, data = _csv_rows(text, "n", 2)
-    return TimeSeries(data[:, 0] + 1j * data[:, 1], T, origin)
+    """Read timeseries_to_csv output; the index may start anywhere."""
+    data = _csv_rows(text, "n", 2)
+    return TimeSeries(data[:, 0] + 1j * data[:, 1], T)

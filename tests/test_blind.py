@@ -546,6 +546,17 @@ class TestDegenerateOrder:
         with pytest.raises(ValueError, match="p >= 2"):
             estimate_support(streams)
 
+    @pytest.mark.parametrize("M, snapshots", [(180, 5), (100, 1), (80, 0)])
+    def test_fewer_snapshots_than_cosets_rejected(self, M, snapshots):
+        # R then has rank below p by construction: with 180 samples (5
+        # snapshots) and white noise 40 dB down, one tone at the edge of
+        # cells 5 and 6 gave q_hat 5 and cells (0, 7, 11, 14, 18)
+        x = TimeSeries(np.exp(2j * np.pi * 0.3 * np.arange(M)), 1.0)
+        streams = coset_decompose(x, SamplingPattern(20, (0, 2, 9, 12, 15, 17), 1.0))
+        stack = CosetStreams(streams.samples[np.newaxis], streams.pattern)
+        with pytest.raises(ValueError, match=f"{snapshots} transient-free snapshots for p=6"):
+            estimate_support_batch(stack)
+
     def test_roundoff_tail_on_eigenvalues(self):
         vals = np.array([2e-2, 1.75e-18, 5e-19, -9.6e-19, -1.7e-18])
         assert aic_order(vals, 240, 5).q_hat == 1

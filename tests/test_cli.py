@@ -98,6 +98,37 @@ def test_pd_sweep_requires_seed(tmp_path, capsys):
     assert "seed" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_sense_snr_requires_seed(tmp_path, capsys):
+    # sense's seed defaults to 0, so a check on the resolved config ran this
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC34))
+    rc = main(["sense", "--fmax", "20", "--B", "1", "--omega", "0.15", "--spec", str(spec),
+               "--M", "8192", "--snr-db", "25", "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "validation"
+    assert "seed" in err["error"]
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_pattern_blind_sfs_refuses_T(tmp_path, capsys, source):
+    # blind-sfs designs at T = 1/fmax; a given T was dropped without a word
+    args = ["pattern", "--method", "blind-sfs", "--N", "3", "--B", "1.5", "--fmax", "20",
+            "--seed", "1", "--out", str(tmp_path / "x.json")]
+    if source == "flag":
+        args += ["--T", "0.7"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 0.7}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "validation"
+    assert "'T'" in err["error"]
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_synth_deterministic(tmp_path, spec_file):
     a = tmp_path / "a.csv"
     args = ["synth", "--spec", spec_file, "--M", "128", "--noise", "awgn",
