@@ -149,8 +149,24 @@ SCHEMAS: dict[str, dict] = {
 for _command in ("synth", "cond-hist", "reconstruct", "blind", "pd-sweep"):
     SCHEMAS[_command]["plot_out"] = {"type": "path", "required": False, "default": None}
 
-# commands that may not run without an explicit seed
-_ALWAYS_STOCHASTIC = {"cond-hist", "pd-sweep"}
+# Each command's alternative input forms, as (selector, {label: form}) pairs.
+# A form "req | opt" names the fields it requires, then the optional fields
+# only it reads.  The selector field's value picks the form; with no selector,
+# the first form that is given any of its fields is picked.
+_NOISE_FORMS = ("noise", {"none": "", "awgn": "| sigma seed", "quantizer": "| bits full_scale"})
+_FORMS: dict[str, tuple] = {
+    "synth": (_NOISE_FORMS,),
+    "pattern": (
+        ("method", {"exhaustive": "L p k | T budget", "sfs": "L p k | T", "blind-sfs": "N B fmax seed | L d"}),
+    ),
+    "cond-hist": ((None, {"k": "k", "C": "C N | d"}),),
+    "reconstruct": (_NOISE_FORMS, (None, {"pattern": "pattern", "L": "L p"})),
+    "blind": (
+        (None, {"streams": "streams", "spec": "spec | M snr_db seed"}),
+        ("localize", {"music": "", "nlls": "| epsilon"}),
+    ),
+    "sense": ((None, {"input": "input", "spec": "spec M | snr_db"}),),
+}
 
 
 class ValidationError(ValueError):
@@ -163,23 +179,18 @@ def config_hash(config: dict) -> str:
 
 
 def _parse_value(kind: str, raw):
-    if raw is None:
-        return None
     if kind == "int":
         return int(raw)
     if kind == "float":
         return float(raw)
     if kind in ("str", "path"):
         return str(raw)
-    if kind.startswith("list["):
-        inner = kind[5:-1]
-        conv = int if inner == "int" else float
-        if isinstance(raw, str):
-            parts = [s for s in raw.split(",") if s != ""]
-        else:
-            parts = list(raw)
-        return [conv(v) for v in parts]
-    raise ValidationError(f"unknown schema type {kind}")
+    conv = int if kind == "list[int]" else float
+    if isinstance(raw, str):
+        parts = [s for s in raw.split(",") if s != ""]
+    else:
+        parts = list(raw)
+    return [conv(v) for v in parts]
 
 
 def _validate(command: str, config: dict) -> dict:
@@ -206,24 +217,33 @@ def _validate(command: str, config: dict) -> dict:
 
 def _check_given(command: str, config: dict, cfg: dict) -> None:
     """Checks on the given config, where the resolved cfg would show schema
-    defaults.  A stochastic run needs a given seed (sense's defaults to 0).
-    cond-hist draws random patterns against k or random supports against C,
-    N and d, and blind-sfs designs at T = 1/fmax; each refuses a field it
-    would otherwise drop."""
-    stochastic = command in _ALWAYS_STOCHASTIC
-    if command == "pattern" and cfg["method"] == "blind-sfs":
-        stochastic = True
-        if config.get("T") is not None:
-            raise ValidationError("pattern blind-sfs takes T = 1/fmax; it refuses 'T'")
-    if cfg.get("noise") == "awgn" and cfg.get("sigma", 0.0):
-        stochastic = True
-    if command in ("blind", "sense") and cfg.get("snr_db") is not None:
-        stochastic = True
+    defaults.  In each of the command's _FORMS choices, the picked form's
+    required fields must be given, and no given field may be one that only
+    the other forms read.  A stochastic run needs a given seed (sense's
+    defaults to 0)."""
+    given = {name for name, val in config.items() if val is not None}
+    for selector, forms in _FORMS.get(command, ()):
+        fields = {label: [f.split() for f in form.partition("|")[::2]] for label, form in forms.items()}
+        if selector is None:
+            label = next((lb for lb, (req, opt) in fields.items() if given & {*req, *opt}), None)
+            if label is None:
+                alts = " | ".join(", ".join(f"'{f}'" for f in req) for req, _ in fields.values())
+                raise ValidationError(f"{command} needs one of: {alts}")
+            picked = f"'{label}'"
+        else:
+            label = cfg[selector]
+            picked = f"{selector}={label}"
+        req, opt = fields[label]
+        missing = [f"'{name}'" for name in req if name not in given]
+        if missing:
+            raise ValidationError(f"{command} with {picked} requires {', '.join(missing)}")
+        others = {name for r, o in fields.values() for name in (*r, *o)}
+        dropped = [f"'{name}'" for name in sorted(given & others - {*req, *opt})]
+        if dropped:
+            raise ValidationError(f"{command} with {picked} does not read {', '.join(dropped)}")
+    stochastic = (cfg.get("noise") == "awgn" and cfg["sigma"]) or cfg.get("snr_db") is not None
     if stochastic and config.get("seed") is None:
         raise ValidationError(f"{command}: stochastic run requires an explicit seed")
-    extra = [f"'{f}'" for f in ("C", "N", "d") if config.get(f) is not None]
-    if command == "cond-hist" and config.get("k") is not None and extra:
-        raise ValidationError(f"cond-hist: 'k' (random patterns) conflicts with {', '.join(extra)} (random supports)")
 
 
 def _provenance(config: dict) -> dict:
@@ -321,16 +341,10 @@ def _cmd_synth(cfg: dict) -> None:
 def _cmd_pattern(cfg: dict) -> None:
     method = cfg["method"]
     if method == "blind-sfs":
-        for f in ("N", "B", "fmax"):
-            if cfg[f] is None:
-                raise ValidationError(f"pattern blind-sfs requires '{f}'")
         res = patterns_mod.blind_sfs(
             cfg["N"], cfg["B"], cfg["fmax"], cfg["d"], cfg["seed"], L=cfg["L"]
         )
     else:
-        for f in ("L", "p", "k"):
-            if cfg[f] is None:
-                raise ValidationError(f"pattern {method} requires '{f}'")
         k = SpectralIndexSet(tuple(cfg["k"]), cfg["L"])
         if method == "exhaustive":
             res = patterns_mod.exhaustive_pattern_search(
@@ -356,13 +370,11 @@ def _cmd_cond_hist(cfg: dict) -> None:
             cfg["L"], cfg["p"], cfg["trials"], cfg["seed"],
             k=SpectralIndexSet(tuple(cfg["k"]), cfg["L"]),
         )
-    elif cfg["C"] is not None and cfg["N"] is not None:
+    else:
         vals = patterns_mod.cond_histogram(
             cfg["L"], cfg["p"], cfg["trials"], cfg["seed"],
             pattern=SamplingPattern(cfg["L"], tuple(cfg["C"])), N=cfg["N"], d=cfg["d"],
         )
-    else:
-        raise ValidationError("cond-hist needs either k (random patterns) or C plus N (random supports)")
     Path(cfg["out"]).write_text(_csv_text(_stamp(cfg), ["cond"], ([v] for v in vals.tolist())))
     if cfg["plot_out"]:
         Path(cfg["plot_out"]).write_text(emit_plot_data(vals, "histogram"))
@@ -373,15 +385,10 @@ def _cmd_reconstruct(cfg: dict) -> None:
     T = 1.0 / spec.f_max
     x_clean = synthesize(spec, T, cfg["M"])
     x = apply_noise(x_clean, _noise_from_cfg(cfg), seed=cfg["seed"] or 0)
-    if cfg["pattern"] is not None:
-        pattern = _load_pattern(cfg["pattern"])
-        L = pattern.L
-        k = spectral_index_from_support(spec.support(), L)
-    else:
-        if cfg["L"] is None or cfg["p"] is None:
-            raise ValidationError("reconstruct needs a pattern file or both L and p")
-        L = cfg["L"]
-        k = spectral_index_from_support(spec.support(), L)
+    pattern = _load_pattern(cfg["pattern"]) if cfg["pattern"] is not None else None
+    L = pattern.L if pattern is not None else cfg["L"]
+    k = spectral_index_from_support(spec.support(), L)
+    if pattern is None:
         pattern = patterns_mod.sfs_pattern_search(L, cfg["p"], k, T=T).pattern
     streams = coset_decompose(x, pattern)
     filt = design_filter(L, cfg["Nh"])
@@ -408,12 +415,9 @@ def _cmd_blind(cfg: dict) -> None:
     pattern = _load_pattern(cfg["pattern"])
     if cfg["streams"] is not None:
         streams = streams_from_csv(Path(cfg["streams"]).read_text(), pattern)
-    elif cfg["spec"] is not None:
-        spec = _load_spec(cfg["spec"])
-        x = _synth_input(spec, cfg["M"], cfg["snr_db"], cfg["seed"])
-        streams = coset_decompose(x, pattern)
     else:
-        raise ValidationError("blind needs either a spec or a streams CSV")
+        x = _synth_input(_load_spec(cfg["spec"]), cfg["M"], cfg["snr_db"], cfg["seed"])
+        streams = coset_decompose(x, pattern)
     report = blind_mod.estimate_support(
         streams,
         order_method=cfg["order"],
@@ -452,13 +456,8 @@ def _cmd_sense(cfg: dict) -> None:
     )
     if cfg["input"] is not None:
         x = timeseries_from_csv(Path(cfg["input"]).read_text(), T=1.0 / cfg["fmax"])
-    elif cfg["spec"] is not None:
-        spec = _load_spec(cfg["spec"])
-        if cfg["M"] is None:
-            raise ValidationError("sense from a spec requires M")
-        x = _synth_input(spec, cfg["M"], cfg["snr_db"], cfg["seed"])
     else:
-        raise ValidationError("sense needs either an input CSV or a spec")
+        x = _synth_input(_load_spec(cfg["spec"]), cfg["M"], cfg["snr_db"], cfg["seed"])
     report = sense(scfg, x)
     payload = {
         **_provenance(cfg),

@@ -43,7 +43,7 @@ class SensingConfig:
 
     f_max/B must be an integer channel count.  omega is the worst-case
     occupancy used for planning.  p defaults to round(L*omega)+1 and may be
-    pinned explicitly; pattern "auto" draws a pattern with the greedy search
+    pinned explicitly; an unset pattern is drawn with the greedy search
     against randomly anchored candidate cells (seeded).  SNR is defined as
     in-band signal power over total noise power in [0, f_max].
     """
@@ -53,7 +53,7 @@ class SensingConfig:
     omega: float
     order_method: str = "mdl"
     localize_method: str = "music"
-    pattern: SamplingPattern | str = "auto"
+    pattern: SamplingPattern | None = None
     p: int | None = None
     seed: int = 0
 
@@ -69,6 +69,8 @@ class SensingConfig:
             raise ValueError(f"order_method must be one of {blind.ORDER_METHODS}")
         if self.localize_method not in blind.LOCALIZE_METHODS:
             raise ValueError(f"localize_method must be one of {blind.LOCALIZE_METHODS}")
+        if self.pattern is not None and not isinstance(self.pattern, SamplingPattern):
+            raise ValueError(f"pattern must be a SamplingPattern or None (got {self.pattern!r})")
 
     @property
     def L(self) -> int:
@@ -263,7 +265,7 @@ def pd_sweep(
         raise ValueError(f"seed must be a non-negative integer (got {seed!r})")
     if metric not in ("exact", "contains"):
         raise ValueError("metric must be 'exact' or 'contains'")
-    if cfg_template.pattern != "auto" or cfg_template.p is not None:
+    if cfg_template.pattern is not None or cfg_template.p is not None:
         raise ValueError(
             "pd_sweep designs one pattern per compression ratio: leave the template's pattern and p unset"
         )

@@ -129,6 +129,80 @@ def test_pattern_blind_sfs_refuses_T(tmp_path, capsys, source):
     assert not (tmp_path / "x.json").exists()
 
 
+# Each command's input forms: the fields a missing or dropped field makes the
+# run refuse.  Every "dropped" config exited 0 when a first matching branch
+# settled it and the named flags were ignored.
+FORM_CASES = {
+    "synth-noise-none-drops-sigma": (["synth", "--spec", "{spec}", "--M", "64", "--sigma", "0.5",
+                                      "--seed", "1"], ["seed", "sigma"]),
+    "synth-awgn-drops-bits": (["synth", "--spec", "{spec}", "--M", "64", "--noise", "awgn", "--sigma", "0.1",
+                               "--seed", "1", "--bits", "4"], ["bits"]),
+    "synth-quantizer-drops-seed": (["synth", "--spec", "{spec}", "--M", "64", "--noise", "quantizer",
+                                    "--seed", "1"], ["seed"]),
+    "reconstruct-pattern-drops-L-p": (["reconstruct", "--spec", "{spec}", "--pattern", "{pat}", "--M", "1024",
+                                       "--L", "16", "--p", "3"], ["L", "p"]),
+    "reconstruct-noise-none-drops-sigma": (["reconstruct", "--spec", "{spec}", "--L", "32", "--p", "12",
+                                            "--M", "1024", "--sigma", "0.1", "--seed", "1"], ["seed", "sigma"]),
+    "reconstruct-L-needs-p": (["reconstruct", "--spec", "{spec}", "--L", "32", "--M", "1024"], ["p"]),
+    "reconstruct-needs-a-pattern": (["reconstruct", "--spec", "{spec}", "--M", "1024"], ["pattern", "L", "p"]),
+    "pattern-sfs-drops-blind-fields": (["pattern", "--method", "sfs", "--L", "16", "--p", "5", "--k", "3,4,5,10,11",
+                                        "--seed", "9", "--budget", "3", "--N", "4"], ["N", "budget", "seed"]),
+    "pattern-blind-sfs-drops-k": (["pattern", "--method", "blind-sfs", "--N", "3", "--B", "1.5", "--fmax", "20",
+                                   "--seed", "1", "--k", "1,2"], ["k"]),
+    "pattern-exhaustive-needs-k": (["pattern", "--method", "exhaustive", "--L", "16", "--p", "5"], ["k"]),
+    "pattern-blind-sfs-needs-fmax": (["pattern", "--method", "blind-sfs", "--N", "3", "--B", "1.5",
+                                      "--seed", "1"], ["fmax"]),
+    "cond-hist-C-needs-N": (["cond-hist", "--L", "16", "--p", "5", "--C", "0,1,7,8,12", "--trials", "3",
+                             "--seed", "0"], ["N"]),
+    "cond-hist-needs-k-or-C": (["cond-hist", "--L", "16", "--p", "5", "--trials", "3", "--seed", "0"],
+                               ["k", "C", "N"]),
+    "blind-streams-drops-synthesis": (["blind", "--streams", "{csv}", "--pattern", "{pat}", "--spec", "{spec}",
+                                       "--M", "10", "--snr-db", "-30", "--seed", "1"],
+                                      ["M", "seed", "snr_db", "spec"]),
+    "blind-music-drops-epsilon": (["blind", "--spec", "{spec}", "--pattern", "{pat}", "--localize", "music",
+                                   "--epsilon", "0.2"], ["epsilon"]),
+    "blind-M-needs-spec": (["blind", "--pattern", "{pat}", "--M", "8192"], ["spec"]),
+    "blind-needs-streams-or-spec": (["blind", "--pattern", "{pat}"], ["streams", "spec"]),
+    "sense-input-drops-snr": (["sense", "--fmax", "20", "--B", "1", "--omega", "0.15", "--input", "{csv}",
+                               "--snr-db", "-20", "--seed", "3"], ["snr_db"]),
+    "sense-input-drops-spec-M": (["sense", "--fmax", "20", "--B", "1", "--omega", "0.15", "--input", "{csv}",
+                                  "--spec", "{spec}", "--M", "50"], ["M", "spec"]),
+    "sense-spec-needs-M": (["sense", "--fmax", "20", "--B", "1", "--omega", "0.15", "--spec", "{spec}"], ["M"]),
+    "sense-needs-input-or-spec": (["sense", "--fmax", "20", "--B", "1", "--omega", "0.15"], ["input", "spec", "M"]),
+}
+
+
+@pytest.mark.parametrize("args,fields", FORM_CASES.values(), ids=FORM_CASES.keys())
+def test_input_forms_refuse_missing_and_dropped_fields(tmp_path, capsys, args, fields):
+    paths = {"spec": tmp_path / "spec.json", "pat": tmp_path / "pat.json", "csv": tmp_path / "x.csv"}
+    paths["spec"].write_text(json.dumps(SPEC34))
+    paths["pat"].write_text(json.dumps({"L": 22, "p": 7, "C": [0, 5, 6, 8, 11, 16, 17], "T": 0.05}))
+    paths["csv"].write_text("n,re,im\n0,1.0,0.0\n")
+    out = tmp_path / "out"
+    argv = [a.format(**paths) for a in args] + ["--out", str(out)]
+    if args[0] in ("synth", "reconstruct", "blind", "cond-hist"):
+        argv += ["--plot-out", str(tmp_path / "plot.csv")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "validation"
+    for field in fields:
+        assert f"'{field}'" in err["error"]
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
+@pytest.mark.parametrize("command", ["synth", "reconstruct"])
+def test_spectrum_plot_has_one_row_per_sample(tmp_path, spec_file, command):
+    out, plot = tmp_path / "x.csv", tmp_path / "plot.csv"
+    args = [command, "--spec", spec_file, "--M", "1024", "--out", str(out), "--plot-out", str(plot)]
+    if command == "reconstruct":
+        args += ["--L", "32", "--p", "12"]
+    assert main(args) == 0
+    assert len(out.read_text().splitlines()) == 2 + 1024
+    lines = plot.read_text().splitlines()
+    assert lines[0] == "freq,magnitude"
+    assert len(lines) == 1 + 1024
+
+
 def test_synth_deterministic(tmp_path, spec_file):
     a = tmp_path / "a.csv"
     args = ["synth", "--spec", spec_file, "--M", "128", "--noise", "awgn",
@@ -249,11 +323,11 @@ def test_cond_hist_k_conflicts_with_support_fields(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "validation"
-    assert "'k' (random patterns) conflicts with 'C', 'N' (random supports)" in err["error"]
+    assert "cond-hist with 'k' does not read 'C', 'N'" in err["error"]
     rc = main(["cond-hist", "--L", "16", "--p", "5", "--k", "3,4,5,10,11", "--d", "2",
                "--trials", "3", "--seed", "0", "--out", str(tmp_path / "h.csv")])
     assert rc == 2
-    assert "conflicts with 'd'" in json.loads(capsys.readouterr().err)["error"]
+    assert "does not read 'd'" in json.loads(capsys.readouterr().err)["error"]
     assert not (tmp_path / "h.csv").exists()
 
 

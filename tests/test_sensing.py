@@ -34,6 +34,11 @@ class TestSensingConfig:
         with pytest.raises(ValueError):
             SensingConfig(f_max=2.0, B=0.1, omega=0.1, order_method="bogus")
 
+    def test_pattern_is_a_sampling_pattern_or_unset(self):
+        # a string was once read as "plan one" by sense but refused by pd_sweep
+        with pytest.raises(ValueError, match="SamplingPattern or None"):
+            SensingConfig(f_max=20.0, B=1.0, omega=0.15, pattern="bogus")
+
 
 class TestPlanSensing:
     def test_wideband_with_pinned_p(self):

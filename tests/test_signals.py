@@ -16,6 +16,7 @@ from subnyq import (
     lebesgue_measure,
     nyquist_rate,
     occupancy,
+    spectral_index_from_support,
     synthesize,
 )
 from subnyq.signals import timeseries_from_csv, timeseries_to_csv
@@ -81,6 +82,15 @@ class TestSupport:
     def test_bands_sorted(self):
         F = SpectralSupport(((4.0, 5.0), (0.5, 2.0)), 12.0)
         assert F.bands == ((0.5, 2.0), (4.0, 5.0))
+
+    def test_spec_merges_overlapping_bands(self):
+        # [1, 2) and [1.5, 3) overlap: one interval, whose cells are the union of theirs
+        spec = MultibandSignalSpec((BandSpec(1.0, 1.0, 0.0, 1.5), BandSpec(1.0, 1.5, 0.0, 2.25)), 10.0)
+        F = spec.support()
+        assert F.bands == ((1.0, 3.0),)
+        cells = [spectral_index_from_support(SpectralSupport((band,), 10.0), 20).k for band in [(1.0, 2.0), (1.5, 3.0)]]
+        assert cells == [(2, 3), (3, 4, 5)]
+        assert spectral_index_from_support(F, 20).k == (2, 3, 4, 5)
 
 
 class TestLebesgueMeasure:
