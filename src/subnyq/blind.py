@@ -75,7 +75,6 @@ class CorrelationMatrix:
     """Hermitian PSD sample correlation of the filtered streams."""
 
     R: np.ndarray
-    M: int
 
     def __post_init__(self):
         R = np.asarray(self.R, dtype=np.complex128)
@@ -110,8 +109,8 @@ def _correlate(X: np.ndarray) -> np.ndarray:
     return (R + R.conj().swapaxes(-1, -2)) / 2.0
 
 
-def sample_correlation(filtered_streams: np.ndarray, M: int | None = None) -> CorrelationMatrix:
-    """Average outer product of the stream snapshot vectors over M samples.
+def sample_correlation(filtered_streams: np.ndarray) -> CorrelationMatrix:
+    """Average outer product of the stream snapshot vectors over all samples.
 
     Rows are streams, columns time.  Conjugation is placed so a snapshot model
     y[n] = A z[n] + noise yields R = A Z A^H + sigma^2 I, i.e. noise
@@ -120,12 +119,9 @@ def sample_correlation(filtered_streams: np.ndarray, M: int | None = None) -> Co
     X = np.asarray(filtered_streams, dtype=np.complex128)
     if X.ndim != 2:
         raise ValueError("filtered_streams must be a (p, n) array")
-    n = X.shape[1]
-    if M is None:
-        M = n
-    if M <= 0 or M > n:
-        raise ValueError(f"need 1 <= M <= {n} samples, got {M}")
-    return CorrelationMatrix(_correlate(X[:, :M]), M)
+    if X.shape[1] == 0:
+        raise ValueError("filtered_streams holds no samples")
+    return CorrelationMatrix(_correlate(X))
 
 
 def _eigh_descending(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +414,6 @@ def estimate_support_batch(
     localize_method: str = "music",
     q_min: int = 0,
     q_max: int | None = None,
-    n_taps: int | None = None,
     select: str = "top",
     epsilon_rel: float = 0.01,
 ) -> list[BlindReport]:
@@ -433,10 +428,12 @@ def estimate_support_batch(
 
     The detection filter keeps its transition inside the cell with a deep
     stopband, so content hugging a cell boundary cannot register in the
-    neighboring cell; correlation uses one transient-free snapshot every L
-    base samples, and filter_streams computes only those outputs.  Those
-    snapshots are correlated, so AIC and MDL score them as the equivalent
-    number of independent snapshots (report.snapshots keeps the count).
+    neighboring cell.  It has 32L + 1 taps, or on a short capture the
+    largest odd count at most max(4L + 1, length // 4).  Correlation uses
+    one transient-free snapshot every L base samples, and filter_streams
+    computes only those outputs.  Those snapshots are correlated, so AIC and
+    MDL score them as the equivalent number of independent snapshots
+    (report.snapshots keeps the count).
     Every order method keeps q_hat in [q_min, q_max]: AIC and MDL search
     only that range, and the EFT count is clamped into it.  The pattern needs
     p >= 2 cosets, and the capture at least p transient-free snapshots.
@@ -464,10 +461,8 @@ def estimate_support_batch(
         q_max = p - 1
     if not 0 <= q_min <= q_max < p:
         raise ValueError("need 0 <= q_min <= q_max < p")
-    if n_taps is None:
-        n_taps = 32 * L + 1
-        cap = max(4 * L + 1, streams.length // 4)
-        n_taps = min(n_taps, cap if cap % 2 else cap - 1)
+    cap = max(4 * L + 1, streams.length // 4)
+    n_taps = min(32 * L + 1, cap if cap % 2 else cap - 1)
     filt = design_filter(
         L, n_taps, passband_ripple=0.02, stopband_ripple=1e-3, transition="inside"
     )

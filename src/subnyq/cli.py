@@ -220,8 +220,10 @@ def _check_given(command: str, config: dict, cfg: dict) -> None:
     defaults.  In each of the command's _FORMS choices, the picked form's
     required fields must be given, and no given field may be one that only
     the other forms read.  A stochastic run needs a given seed (sense's
-    defaults to 0)."""
+    defaults to 0), and a seed that a picked form reads only as an option
+    is refused on a run that draws no noise."""
     given = {name for name, val in config.items() if val is not None}
+    optional: set[str] = set()
     for selector, forms in _FORMS.get(command, ()):
         fields = {label: [f.split() for f in form.partition("|")[::2]] for label, form in forms.items()}
         if selector is None:
@@ -241,9 +243,12 @@ def _check_given(command: str, config: dict, cfg: dict) -> None:
         dropped = [f"'{name}'" for name in sorted(given & others - {*req, *opt})]
         if dropped:
             raise ValidationError(f"{command} with {picked} does not read {', '.join(dropped)}")
+        optional.update(opt)
     stochastic = (cfg.get("noise") == "awgn" and cfg["sigma"]) or cfg.get("snr_db") is not None
-    if stochastic and config.get("seed") is None:
+    if stochastic and "seed" not in given:
         raise ValidationError(f"{command}: stochastic run requires an explicit seed")
+    if not stochastic and "seed" in given & optional:
+        raise ValidationError(f"{command}: a run that draws no noise does not read 'seed'")
 
 
 def _provenance(config: dict) -> dict:

@@ -468,7 +468,7 @@ def blind_sfs(
 ) -> PatternSearchResult:
     """Pattern choice for unknown band locations, at base period T = 1/f_max.
 
-    Derives (L, q_max, p) from the band count and width, places a maximal
+    Derives (L, p) from the band count and width, places a maximal
     candidate support at random anchors, and runs the greedy search against
     it.  Deterministic for a fixed seed.  Pass L to override the derived
     period (needed when d = 0 fixes cells at the band resolution externally).

@@ -86,8 +86,6 @@ class InterpolationFilter:
     transition_width: float
     passband_edge: float
     stopband_edge: float
-    passband_ripple: float
-    stopband_ripple: float
     achieved_passband_ripple: float
     achieved_stopband_ripple: float
     meets_spec: bool
@@ -163,8 +161,6 @@ def design_filter(
         transition_width=trans,
         passband_edge=pass_edge,
         stopband_edge=stop_edge,
-        passband_ripple=passband_ripple,
-        stopband_ripple=stopband_ripple,
         achieved_passband_ripple=a_pass,
         achieved_stopband_ripple=a_stop,
         meets_spec=meets,
@@ -227,14 +223,13 @@ def valid_range(streams_length: int, filt: InterpolationFilter) -> tuple[int, in
     return d, max(streams_length - d, d)
 
 
-def pseudo_inverse(A: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse by SVD with the module's rank tolerance."""
+def pseudo_inverse(A: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse by SVD; singular values at or below
+    1e-12 * max(A.shape) times the largest count as zero."""
     A = np.asarray(A)
     if A.size == 0:
         raise ValueError("pseudo_inverse of an empty matrix")
-    if rtol is None:
-        rtol = 1e-12 * max(A.shape)
-    return np.linalg.pinv(A, rcond=rtol)
+    return np.linalg.pinv(A, rcond=1e-12 * max(A.shape))
 
 
 def _combining_matrix(pattern: SamplingPattern, k: SpectralIndexSet) -> tuple[np.ndarray, float]:

@@ -146,9 +146,7 @@ class BlindParameters:
     """Parameters picked from (N, B, f_max, d) when band locations are unknown."""
 
     L: int
-    q_max: int
     p: int
-    q_bounds: tuple[int, int]
 
 
 def coset_decompose(x: TimeSeries, pattern: SamplingPattern) -> CosetStreams:
@@ -201,13 +199,13 @@ def average_rate(pattern: SamplingPattern, f_max: float) -> float:
 
 
 def blind_parameters(N: int, B: float, f_max: float, d: int) -> BlindParameters:
-    """Choose (L, q_max, p) for N bands of width <= B below f_max.
+    """Choose (L, p) for N bands of width <= B below f_max.
 
     L = d*floor(f_max/B) ties the cell width to the band width; each band then
-    straddles at most d+1 cells, so q_max = N*(d+1) and one extra row p =
-    q_max + 1 suffices.  Both are capped at L so degenerate inputs stay valid.
-    With d = 0 the cells are taken at the band resolution, L = floor(f_max/B),
-    and bands are assumed cell-aligned.
+    straddles at most d+1 cells, so at most q_max = N*(d+1) cells are active
+    and one extra row p = q_max + 1 suffices.  Both are capped at L so
+    degenerate inputs stay valid.  With d = 0 the cells are taken at the band
+    resolution, L = floor(f_max/B), and bands are assumed cell-aligned.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -215,13 +213,10 @@ def blind_parameters(N: int, B: float, f_max: float, d: int) -> BlindParameters:
         raise ValueError("need 0 < B <= f_max")
     if d < 0:
         raise ValueError("d must be a nonnegative integer")
+    if not math.isfinite(f_max / B):
+        raise ValueError(f"f_max/B must be finite (got f_max={f_max}, B={B})")
     L = max(d, 1) * int(math.floor(f_max / B))
-    if L < 1:
-        raise ValueError(f"invalid parameters: L = {L} < 1")
-    q_max = min(N * (d + 1), L)
-    p = min(q_max + 1, L)
-    q_lo = min(int(math.ceil(N * B * L / f_max)), q_max)
-    return BlindParameters(L=L, q_max=q_max, p=p, q_bounds=(q_lo, q_max))
+    return BlindParameters(L=L, p=min(N * (d + 1) + 1, L))
 
 
 def streams_to_csv(cs: CosetStreams, header_comment: str = "") -> str:

@@ -28,7 +28,6 @@ from .signals import TimeSeries
 
 __all__ = [
     "SensingConfig",
-    "SensingPlan",
     "SensingReport",
     "PdPoint",
     "PdResult",
@@ -61,6 +60,8 @@ class SensingConfig:
         if self.f_max <= 0 or self.B <= 0:
             raise ValueError("f_max and B must be positive")
         ratio = self.f_max / self.B
+        if not all(math.isfinite(v) for v in (self.f_max, self.B, ratio)):
+            raise ValueError(f"f_max, B and f_max/B must be finite (got f_max={self.f_max}, B={self.B})")
         if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) < 1:
             raise ValueError(f"B={self.B} must divide f_max={self.f_max}")
         if not 0 < self.omega < 1:
@@ -75,17 +76,6 @@ class SensingConfig:
     @property
     def L(self) -> int:
         return int(round(self.f_max / self.B))
-
-
-@dataclass(frozen=True)
-class SensingPlan:
-    L: int
-    p: int
-    q_hat_estimate: int
-    pattern: SamplingPattern
-    q_bounds: tuple[int, int]
-    sample_rate: float
-    compression: float
 
 
 @dataclass(frozen=True)
@@ -117,13 +107,12 @@ def _auto_pattern(L: int, p: int, f_max: float, seed: int) -> SamplingPattern:
     return _anchored_sfs(L, p, max(p - 1, 1), 0, rng, 1.0 / f_max).pattern
 
 
-def plan_sensing(cfg: SensingConfig) -> SensingPlan:
-    """Resolve channel count, coset count, and the sampling pattern.
+def plan_sensing(cfg: SensingConfig) -> SamplingPattern:
+    """The sampling pattern for cfg: cfg.pattern, or one planned for it.
 
     The expected number of simultaneously active channels is L*omega, so one
     spare row (p = round(L*omega) + 1, capped at L) makes the reduced system
-    solvable; an explicit cfg.p or a supplied pattern overrides it.  The
-    worst case is twice the expectation, reported in q_bounds.
+    solvable; an explicit cfg.p overrides it.
     """
     L = cfg.L
     if L * cfg.omega < 1.0:
@@ -131,26 +120,12 @@ def plan_sensing(cfg: SensingConfig) -> SensingPlan:
             f"resolution too coarse: L*omega = {L * cfg.omega:.3g} < 1 "
             "(no channel expected active)"
         )
-    q_est = int(round(L * cfg.omega))
-    if isinstance(cfg.pattern, SamplingPattern):
-        pattern = cfg.pattern
-        if pattern.L != L:
+    if cfg.pattern is not None:
+        if cfg.pattern.L != L:
             raise ValueError("supplied pattern has mismatched L")
-        p = pattern.p
-    else:
-        p = cfg.p if cfg.p is not None else min(q_est + 1, L)
-        pattern = _auto_pattern(L, p, cfg.f_max, cfg.seed)
-    q_lo = int(math.floor(L * cfg.omega))
-    q_hi = min(int(math.ceil(2 * L * cfg.omega)), L)
-    return SensingPlan(
-        L=L,
-        p=p,
-        q_hat_estimate=q_est,
-        pattern=pattern,
-        q_bounds=(q_lo, q_hi),
-        sample_rate=p / L * cfg.f_max,
-        compression=p / L,
-    )
+        return cfg.pattern
+    p = cfg.p if cfg.p is not None else min(int(round(L * cfg.omega)) + 1, L)
+    return _auto_pattern(L, p, cfg.f_max, cfg.seed)
 
 
 def sense(cfg: SensingConfig, x: TimeSeries) -> SensingReport:
@@ -165,8 +140,8 @@ def sense(cfg: SensingConfig, x: TimeSeries) -> SensingReport:
     """
     if abs(x.T - 1.0 / cfg.f_max) > 1e-9 * x.T:
         raise ValueError(f"series period {x.T} is not 1/f_max = {1.0 / cfg.f_max}")
-    plan = plan_sensing(cfg)
-    streams = coset_decompose(x, plan.pattern)
+    pattern = plan_sensing(cfg)
+    streams = coset_decompose(x, pattern)
     report = blind.estimate_support(
         streams,
         order_method=cfg.order_method,
@@ -174,20 +149,20 @@ def sense(cfg: SensingConfig, x: TimeSeries) -> SensingReport:
         select="threshold",
     )
     k_hat, q_hat = report.k_hat, report.q_hat
-    A = build_measurement_matrix(plan.pattern)
+    A = build_measurement_matrix(pattern)
     cond = condition_number(reduce_matrix(A, k_hat)) if k_hat.q else 1.0
     free_idx = k_hat.complement().k
     free = tuple((i * cfg.B, (i + 1) * cfg.B) for i in free_idx)
     diagnostics = {
         "cond": cond,
         "eigenvalues": report.eigs.values.tolist(),
-        "pattern": plan.pattern.to_dict(),
+        "pattern": pattern.to_dict(),
         "snapshots": report.snapshots,
         "order_method": cfg.order_method,
         "localize_method": cfg.localize_method,
         "snr_definition": "in-band signal power over total noise power in [0, f_max]",
         "degraded_confidence": bool(not math.isfinite(cond) or cond > 1e6),
-        "under_provisioned": bool(q_hat >= plan.p - 1),
+        "under_provisioned": bool(q_hat >= pattern.p - 1),
         "filter_meets_spec": report.filter_meets_spec,
     }
     return SensingReport(

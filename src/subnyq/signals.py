@@ -48,10 +48,6 @@ class SpectralSupport:
                 raise ValueError(f"bands [{a0},{b0}) and [{a1},{b1}) overlap")
         object.__setattr__(self, "bands", bands)
 
-    @property
-    def n_bands(self) -> int:
-        return len(self.bands)
-
 
 @dataclass(frozen=True)
 class BandSpec:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subnyq import TimeSeries
-from subnyq.cli import ValidationError, emit_plot_data, main
+from subnyq.cli import ValidationError, emit_plot_data, main, run
 
 SPEC23 = {
     "f_max": 5.0,
@@ -131,7 +131,8 @@ def test_pattern_blind_sfs_refuses_T(tmp_path, capsys, source):
 
 # Each command's input forms: the fields a missing or dropped field makes the
 # run refuse.  Every "dropped" config exited 0 when a first matching branch
-# settled it and the named flags were ignored.
+# settled it and the named flags were ignored; a seed is dropped by a run
+# that draws no noise.
 FORM_CASES = {
     "synth-noise-none-drops-sigma": (["synth", "--spec", "{spec}", "--M", "64", "--sigma", "0.5",
                                       "--seed", "1"], ["seed", "sigma"]),
@@ -139,10 +140,15 @@ FORM_CASES = {
                                "--seed", "1", "--bits", "4"], ["bits"]),
     "synth-quantizer-drops-seed": (["synth", "--spec", "{spec}", "--M", "64", "--noise", "quantizer",
                                     "--seed", "1"], ["seed"]),
+    "synth-awgn-zero-sigma-drops-seed": (["synth", "--spec", "{spec}", "--M", "64", "--noise", "awgn",
+                                          "--sigma", "0", "--seed", "1"], ["seed"]),
     "reconstruct-pattern-drops-L-p": (["reconstruct", "--spec", "{spec}", "--pattern", "{pat}", "--M", "1024",
                                        "--L", "16", "--p", "3"], ["L", "p"]),
     "reconstruct-noise-none-drops-sigma": (["reconstruct", "--spec", "{spec}", "--L", "32", "--p", "12",
                                             "--M", "1024", "--sigma", "0.1", "--seed", "1"], ["seed", "sigma"]),
+    "reconstruct-awgn-zero-sigma-drops-seed": (["reconstruct", "--spec", "{spec}", "--L", "32", "--p", "12",
+                                                "--M", "1024", "--noise", "awgn", "--sigma", "0", "--seed", "1"],
+                                               ["seed"]),
     "reconstruct-L-needs-p": (["reconstruct", "--spec", "{spec}", "--L", "32", "--M", "1024"], ["p"]),
     "reconstruct-needs-a-pattern": (["reconstruct", "--spec", "{spec}", "--M", "1024"], ["pattern", "L", "p"]),
     "pattern-sfs-drops-blind-fields": (["pattern", "--method", "sfs", "--L", "16", "--p", "5", "--k", "3,4,5,10,11",
@@ -159,6 +165,8 @@ FORM_CASES = {
     "blind-streams-drops-synthesis": (["blind", "--streams", "{csv}", "--pattern", "{pat}", "--spec", "{spec}",
                                        "--M", "10", "--snr-db", "-30", "--seed", "1"],
                                       ["M", "seed", "snr_db", "spec"]),
+    "blind-spec-without-snr-drops-seed": (["blind", "--spec", "{spec}", "--pattern", "{pat}", "--seed", "1"],
+                                          ["seed"]),
     "blind-music-drops-epsilon": (["blind", "--spec", "{spec}", "--pattern", "{pat}", "--localize", "music",
                                    "--epsilon", "0.2"], ["epsilon"]),
     "blind-M-needs-spec": (["blind", "--pattern", "{pat}", "--M", "8192"], ["spec"]),
@@ -495,3 +503,39 @@ class TestEmitPlotData:
         assert len(lines) == 9
         mags = [float(l.split(",")[1]) for l in lines[1:]]
         assert int(np.argmax(mags)) == 2  # bin at 0.25 cycles/sample
+
+
+# each refusal of the CLI layer not reached above, with a word of its message
+CLI_REFUSALS = {
+    "choice": (lambda: run("synth", {"spec": "s.json", "M": 4, "out": "o.csv", "noise": "bogus"}), "one of"),
+    "spectrum-plot": (lambda: emit_plot_data([1.0, 2.0], "spectrum"), "TimeSeries"),
+    "command": (lambda: run("bogus", {}), "unknown command"),
+}
+
+
+@pytest.mark.parametrize("call, word", CLI_REFUSALS.values(), ids=CLI_REFUSALS.keys())
+def test_cli_refusals(call, word):
+    with pytest.raises(ValidationError, match=word):
+        call()
+
+
+# f_max/B overflowed round() or floor() into an OverflowError traceback
+OVERFLOW_RUNS = {
+    "sense-fmax-inf": ["sense", "--fmax", "inf", "--B", "1", "--omega", "0.15", "--spec", "{spec}", "--M", "64"],
+    "pd-sweep-ratio": ["pd-sweep", "--fmax", "1e308", "--B", "1e-10", "--snr", "10", "--cr", "0.2",
+                       "--trials", "2", "--seed", "1"],
+    "blind-sfs-ratio": ["pattern", "--method", "blind-sfs", "--N", "1", "--B", "1e-300", "--fmax", "1e10",
+                        "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("args", OVERFLOW_RUNS.values(), ids=OVERFLOW_RUNS.keys())
+def test_non_finite_band_ratio_is_a_json_error(tmp_path, capsys, args):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC34))
+    out = tmp_path / "out"
+    assert main([a.format(spec=spec) for a in args] + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "runtime"
+    assert "finite" in err["error"]
+    assert sorted(tmp_path.iterdir()) == [spec]

@@ -809,3 +809,16 @@ class TestMaximalSupportDesign:
             for sub in subsets:
                 sub_cond = cond_of(L, res.pattern.C, SpectralIndexSet(sub, L))
                 assert sub_cond <= base + 1e-9
+
+
+# each refusal of the pattern layer not reached above, with a word of its message
+PATTERN_REFUSALS = {
+    "empty-matrix": (lambda: condition_number(np.zeros((0, 3))), "empty"),
+    "supports-need-a-pattern": (lambda: cond_histogram(8, 3, 2, 0, N=1), "fixed pattern"),
+}
+
+
+@pytest.mark.parametrize("call, word", PATTERN_REFUSALS.values(), ids=PATTERN_REFUSALS.keys())
+def test_pattern_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()

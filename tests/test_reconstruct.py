@@ -11,6 +11,7 @@ from scipy import signal as sps
 import subnyq
 from subnyq import (
     CosetStreams,
+    FrequencyReconstruction,
     IllPosedError,
     NoiseModel,
     SamplingPattern,
@@ -464,15 +465,18 @@ class TestPolyphaseMatchesPaddedPath:
                 )
 
     def test_estimate_support_eigenvalues(self, case):
-        streams, n_taps = case
+        streams, _ = case
         L = streams.pattern.L
+        # the detection filter's tap rule: 32L + 1, capped by the capture
+        cap = max(4 * L + 1, streams.length // 4)
+        n_taps = min(32 * L + 1, cap if cap % 2 else cap - 1)
         filt = design_filter(
             L, n_taps, passband_ripple=0.02, stopband_ripple=1e-3, transition="inside"
         )
         ref = padded_filter(streams, filt)
         lo, hi = filt.group_delay, streams.length - filt.group_delay
         ref_eigs = eigendecompose(sample_correlation(ref[:, lo:hi][:, ::L]))
-        rep = estimate_support(streams, n_taps=n_taps)
+        rep = estimate_support(streams)
         assert rep.snapshots == len(range(lo, hi, L))
         assert_rel_close(rep.eigs.values, ref_eigs.values)
 
@@ -565,3 +569,23 @@ class TestStacksAndSpec:
         assert not reconstruct_time(streams, k, short, reference=clean_signal).filter_meets_spec
         long = design_filter(16, 383)
         assert reconstruct_time(streams, k, long, reference=clean_signal).filter_meets_spec
+
+
+# each refusal of the reconstruction layer not reached above, with a word of its message
+RECONSTRUCT_REFUSALS = {
+    "no-cells": (lambda: spectral_index_from_support(SpectralSupport((), 1.0), 0), "L must be"),
+    "transition": (lambda: design_filter(8, 9, transition="bogus"), "transition"),
+    "empty-matrix": (lambda: pseudo_inverse(np.zeros((0, 2))), "empty"),
+    "spectrum-length": (
+        lambda: FrequencyReconstruction(
+            np.zeros((1, 4), dtype=complex), SpectralIndexSet((1,), 8), 1.0
+        ).assemble_full_spectrum(31),
+        "n_bins",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, word", RECONSTRUCT_REFUSALS.values(), ids=RECONSTRUCT_REFUSALS.keys())
+def test_reconstruct_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnyq import (
+    MeasurementMatrix,
     SamplingPattern,
     SpectralIndexSet,
     TimeSeries,
@@ -276,27 +279,43 @@ class TestAverageRate:
 class TestBlindParameters:
     def test_wide_bands(self):
         bp = blind_parameters(3, 1.5, 20.0, 1)
-        assert (bp.L, bp.q_max, bp.p) == (13, 6, 7)
-        assert bp.q_bounds == (3, 6)
+        assert (bp.L, bp.p) == (13, 7)
 
     def test_narrow_bands(self):
         bp = blind_parameters(3, 0.9, 20.0, 1)
-        assert (bp.L, bp.q_max, bp.p) == (22, 6, 7)
+        assert (bp.L, bp.p) == (22, 7)
 
     def test_degenerate_capped(self):
         bp = blind_parameters(1, 5.0, 5.0, 1)
-        assert bp.L == 1
-        assert bp.q_max == 1  # capped at L
-        assert bp.p == 1
+        assert (bp.L, bp.p) == (1, 1)  # capped at L
 
     def test_d_zero_uses_band_resolution(self):
         bp = blind_parameters(2, 1.0, 10.0, 0)
-        assert bp.L == 10
-        assert bp.q_max == 2
-        assert bp.p == 3
+        assert (bp.L, bp.p) == (10, 3)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             blind_parameters(0, 1.0, 10.0, 1)
         with pytest.raises(ValueError):
             blind_parameters(1, 20.0, 10.0, 1)
+
+
+# each refusal of the sampling layer not reached above, with a word of its message
+SAMPLING_REFUSALS = {
+    "L-zero": (lambda: SamplingPattern(0, ()), "L must be"),
+    "T-zero": (lambda: SamplingPattern(4, (0,), 0.0), "T must be positive"),
+    "dict-p": (lambda: SamplingPattern.from_dict({"L": 4, "C": [0, 1], "p": 3}), "does not match"),
+    "matrix-shape": (
+        lambda: MeasurementMatrix(np.zeros((2, 4), dtype=complex), SamplingPattern(4, (0,))), "p x L"
+    ),
+    "negative-d": (lambda: blind_parameters(1, 1.0, 10.0, -1), "nonnegative"),
+    # f_max/B overflows to inf; floor(inf) raised OverflowError
+    "overflowing-ratio": (lambda: blind_parameters(1, 1e-300, 1e10, 1), "finite"),
+    "infinite-f_max": (lambda: blind_parameters(1, 1.0, math.inf, 1), "finite"),
+}
+
+
+@pytest.mark.parametrize("call, word", SAMPLING_REFUSALS.values(), ids=SAMPLING_REFUSALS.keys())
+def test_sampling_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()

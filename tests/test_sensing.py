@@ -10,6 +10,7 @@ from subnyq import (
     SpectralSupport,
     TimeSeries,
     apply_noise,
+    average_rate,
     bandlimited_noise,
     coset_decompose,
     pd_sweep,
@@ -43,25 +44,18 @@ class TestSensingConfig:
 class TestPlanSensing:
     def test_wideband_with_pinned_p(self):
         cfg = SensingConfig(f_max=2.0, B=0.01, omega=0.1, p=20, seed=1)
-        plan = plan_sensing(cfg)
-        assert plan.L == 200
-        assert plan.p == 20
-        assert plan.q_hat_estimate == 20
-        assert plan.sample_rate == pytest.approx(0.2)  # ~ omega * f_max
-        assert plan.compression == pytest.approx(0.1)
-        assert plan.q_bounds == (20, 40)
+        pattern = plan_sensing(cfg)
+        assert (pattern.L, pattern.p, pattern.T) == (200, 20, 0.5)
+        assert average_rate(pattern, cfg.f_max) == pytest.approx(0.2)  # ~ omega * f_max
 
     def test_default_p_is_estimate_plus_one(self):
-        cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
-        plan = plan_sensing(cfg)
-        assert plan.L == 20
-        assert plan.q_hat_estimate == 3
-        assert plan.p == 4
+        # round(L*omega) = 3 channels expected active, plus one spare row
+        pattern = plan_sensing(SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1))
+        assert (pattern.L, pattern.p) == (20, 4)
 
     def test_dense_spectrum_no_compression(self):
         cfg = SensingConfig(f_max=10.0, B=1.0, omega=0.95, seed=1)
-        plan = plan_sensing(cfg)
-        assert plan.p == min(round(10 * 0.95) + 1, 10)
+        assert plan_sensing(cfg).p == min(round(10 * 0.95) + 1, 10)
 
     def test_resolution_too_coarse(self):
         cfg = SensingConfig(f_max=10.0, B=5.0, omega=0.05, seed=1)
@@ -71,13 +65,11 @@ class TestPlanSensing:
     def test_supplied_pattern_wins(self):
         pat = SamplingPattern(20, (0, 3, 7, 11, 16), 1 / 20)
         cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, pattern=pat)
-        plan = plan_sensing(cfg)
-        assert plan.pattern == pat
-        assert plan.p == 5
+        assert plan_sensing(cfg) == pat
 
     def test_auto_pattern_deterministic(self):
         cfg = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=9)
-        assert plan_sensing(cfg).pattern == plan_sensing(cfg).pattern
+        assert plan_sensing(cfg) == plan_sensing(cfg)
 
 
 class TestSense:
@@ -262,3 +254,31 @@ class TestPdSweep:
         for cr, snr_db in [(0.1, -5.0), (0.2, 0.0), (0.2, -0.0)]:
             alone = pd_sweep(cfg, [snr_db], [cr], trials=200, seed=3, n_blocks=60)
             assert alone.rows[0] == rows[(cr, snr_db)]
+
+
+CFG20 = SensingConfig(f_max=20.0, B=1.0, omega=0.15, seed=1)
+
+# each refusal of the sensing layer not reached above, with a word of its message
+SENSING_REFUSALS = {
+    "f_max-zero": (lambda: SensingConfig(f_max=0.0, B=1.0, omega=0.1), "positive"),
+    # round(inf) raised OverflowError and round(nan) "cannot convert float NaN to integer"
+    "f_max-inf": (lambda: SensingConfig(f_max=math.inf, B=1.0, omega=0.1), "finite"),
+    "f_max-nan": (lambda: SensingConfig(f_max=math.nan, B=1.0, omega=0.1), "finite"),
+    "B-nan": (lambda: SensingConfig(f_max=20.0, B=math.nan, omega=0.1), "finite"),
+    "B-inf": (lambda: SensingConfig(f_max=20.0, B=math.inf, omega=0.1), "finite"),
+    "ratio-overflows": (lambda: SensingConfig(f_max=1e308, B=1e-10, omega=0.1), "finite"),
+    "localize-method": (lambda: SensingConfig(f_max=20.0, B=1.0, omega=0.1, localize_method="x"), "localize_method"),
+    "pattern-L": (
+        lambda: plan_sensing(
+            SensingConfig(f_max=20.0, B=1.0, omega=0.15, pattern=SamplingPattern(16, (0, 1, 2), 1 / 20))
+        ),
+        "mismatched L",
+    ),
+    "metric": (lambda: pd_sweep(CFG20, [10.0], [0.2], trials=1, seed=0, metric="bogus"), "metric"),
+}
+
+
+@pytest.mark.parametrize("call, word", SENSING_REFUSALS.values(), ids=SENSING_REFUSALS.keys())
+def test_sensing_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()

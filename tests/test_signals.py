@@ -77,7 +77,7 @@ class TestSupport:
             SpectralSupport(((0.0, 6.0),), 5.0)
         with pytest.raises(ValueError):
             SpectralSupport(((0.0, 2.0), (1.0, 3.0)), 5.0)  # overlap
-        assert SpectralSupport((), 5.0).n_bands == 0
+        assert SpectralSupport((), 5.0).bands == ()
 
     def test_bands_sorted(self):
         F = SpectralSupport(((4.0, 5.0), (0.5, 2.0)), 12.0)
@@ -331,3 +331,25 @@ class TestFiniteSamples:
         samples[9] = bad
         with pytest.raises(ValueError, match="index 9"):
             TimeSeries(samples, 1.0)
+
+
+BAND_1_2 = SpectralSupport(((1.0, 2.0),), 5.0)
+
+# each refusal of the signal layer not reached above, with a word of its message
+SIGNAL_REFUSALS = {
+    "negative-f_max": (lambda: SpectralSupport((), -1.0), "nonnegative"),
+    "zero-width": (lambda: MultibandSignalSpec((BandSpec(1.0, 0.0, 0.0, 1.0),), 5.0), "width"),
+    "band-outside": (lambda: MultibandSignalSpec((BandSpec(1.0, 1.0, 0.0, 4.9),), 5.0), "outside"),
+    "T-zero": (lambda: TimeSeries(np.zeros(2), 0.0), "T must be positive"),
+    "synthesize-M": (
+        lambda: synthesize(MultibandSignalSpec((BandSpec(1.0, 1.0, 0.0, 1.5),), 5.0), 0.1, 0), "M must be"
+    ),
+    "noise-M": (lambda: bandlimited_noise(BAND_1_2, 0.2, 0, 0), "M must be"),
+    "noise-T": (lambda: bandlimited_noise(BAND_1_2, 0.5, 8, 0), "aliasing"),
+}
+
+
+@pytest.mark.parametrize("call, word", SIGNAL_REFUSALS.values(), ids=SIGNAL_REFUSALS.keys())
+def test_signal_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()
